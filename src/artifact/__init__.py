@@ -48,6 +48,7 @@ from .solver import (
     ValueFunction,
     bellman_apply,
     bellman_backup,
+    certify_optimal,
     decision_boundary,
     default_tolerance,
     evaluate_cost,
@@ -126,6 +127,7 @@ __all__ = [
     "belief_update",
     "bellman_apply",
     "bellman_backup",
+    "certify_optimal",
     "decision_boundary",
     "default_tolerance",
     "delta_R_heatmap",

@@ -6,9 +6,14 @@ the solver against the closed forms on the subclasses that have them,
 and `sweep` executes a JSON manifest.  Data goes to files under --out;
 standard output carries a short summary only.
 
+`solve`, `compare` and sweeps share one optimal solver: policy iteration
+followed by one Bellman backup that certifies ||V - V*|| <= ||TV - V||/(1-gamma).
+`ids` certifies its linear solve by the residual bound.  --tol is the
+acceptance bound on the certified error (default 1e-9/(1-gamma)).
+
 Exit codes: 0 success, 2 invalid parameters or unreadable manifest,
-3 solver non-convergence, 4 comparison requested outside closed-form
-coverage.
+3 solver non-convergence or certified error above --tol, 4 comparison
+requested outside closed-form coverage.
 """
 
 from __future__ import annotations
@@ -33,14 +38,14 @@ from .ids import IdsConfig, ids_policy_on_grid, regret_bound, sup_info_ratio, _g
 from .solver import (
     BeliefGrid,
     DiscountedProblem,
+    certify_optimal,
     decision_boundary,
     default_tolerance,
-    extract_greedy_policy,
     mdp_value,
     policy_evaluation,
+    policy_iteration,
     reachable_beliefs,
     regret_curve,
-    value_iteration,
 )
 
 __all__ = ["main", "build_parser"]
@@ -61,7 +66,13 @@ def build_parser() -> argparse.ArgumentParser:
         if need_alpha:
             p.add_argument("--alpha", type=float, required=True)
         p.add_argument("--grid", type=int, default=2001, help="odd node count")
-        p.add_argument("--tol", type=float, default=None, help="solver tolerance")
+        p.add_argument(
+            "--tol",
+            type=float,
+            default=None,
+            help="acceptance bound on the certified error ||V - V*|| "
+            "(default 1e-9/(1-gamma)); exit 3 if not met",
+        )
         p.add_argument("--out", default=".", help="output directory")
         p.add_argument("--format", choices=("csv", "json"), default="csv")
 
@@ -106,11 +117,11 @@ def cmd_solve(args) -> int:
     out = _outdir(args)
     tol = args.tol if args.tol is not None else default_tolerance(prob.gamma)
     try:
-        v, sweeps = value_iteration(prob, grid, tol=tol)
+        v, policy, rounds = policy_iteration(prob, grid)
+        bound = certify_optimal(prob, v, tol)
     except IterationLimit as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    policy = extract_greedy_policy(prob, v)
     regret = regret_curve(prob, v)
     summary = {
         "theta_minus": prob.spec.theta_minus,
@@ -118,8 +129,8 @@ def cmd_solve(args) -> int:
         "gamma": prob.gamma,
         "grid_points": grid.n_points,
         "tolerance": tol,
-        "iterations": sweeps,
-        "error_bound": tol * prob.gamma / (1.0 - prob.gamma),
+        "iterations": rounds,
+        "error_bound": bound,
         "boundary": policy.boundary,
         "max_regret": float(np.max(regret.values)),
     }
@@ -135,7 +146,10 @@ def cmd_solve(args) -> int:
         artio.write_policy_csv(os.path.join(out, "policy.csv"), policy)
         artio.write_json_doc(os.path.join(out, "summary.json"), summary)
     bc = "none" if policy.boundary is None else artio.fmt(policy.boundary)
-    print(f"solve: {sweeps} sweeps, boundary {bc}, max regret {artio.fmt(summary['max_regret'])}")
+    print(
+        f"solve: {rounds} policy-iteration rounds, certified error {artio.fmt(bound)}, "
+        f"boundary {bc}, max regret {artio.fmt(summary['max_regret'])}"
+    )
     return 0
 
 
@@ -216,7 +230,6 @@ def cmd_compare(args) -> int:
     prob, grid = _problem(args)
     spec = prob.spec
     out = _outdir(args)
-    tol = args.tol if args.tol is not None else default_tolerance(prob.gamma)
     symmetric = spec.symmetric and 0.5 < spec.theta_plus < 1.0
     fair = spec.theta_minus == 0.5 and 0.5 < spec.theta_plus < 1.0
     if not symmetric and not fair:
@@ -227,7 +240,8 @@ def cmd_compare(args) -> int:
         )
         return 4
     try:
-        v, _ = value_iteration(prob, grid, tol=tol)
+        v, policy, _ = policy_iteration(prob, grid)
+        certify_optimal(prob, v, args.tol)
     except IterationLimit as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
@@ -259,7 +273,6 @@ def cmd_compare(args) -> int:
         ok = bool(np.max(rel_dev) <= rel_tol)
         detail = f"max rel dev {artio.fmt(np.max(rel_dev))} (tol {artio.fmt(rel_tol)})"
     else:
-        policy = extract_greedy_policy(prob, v)
         try:
             bc_num = decision_boundary(policy)
         except BanditError as exc:

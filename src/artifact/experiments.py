@@ -29,10 +29,10 @@ from .ids import IdsConfig, ids_policy_on_grid
 from .solver import (
     BeliefGrid,
     DiscountedProblem,
+    certify_optimal,
     mdp_value,
     policy_evaluation,
     policy_iteration,
-    value_iteration,
 )
 
 __all__ = [
@@ -220,12 +220,11 @@ def resolve_workers(n_workers=None) -> int:
 
 
 def _optimal_solve(prob, grid, tol):
-    """Optimal value on the grid: policy iteration when no tolerance was
-    requested, value iteration honoring the tolerance otherwise."""
-    if tol is None:
-        v, _, _ = policy_iteration(prob, grid)
-        return v
-    v, _ = value_iteration(prob, grid, tol=tol)
+    """Optimal value on the grid by policy iteration, certified by one
+    Bellman backup; raises IterationLimit when the certified error exceeds
+    tol (default default_tolerance(gamma))."""
+    v, _, _ = policy_iteration(prob, grid)
+    certify_optimal(prob, v, tol)
     return v
 
 

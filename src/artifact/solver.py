@@ -4,10 +4,12 @@ The belief beta lives on a uniform grid over [-1, 1].  Bayes updates land
 between nodes, so continuation values are read off by piecewise-linear
 interpolation; that keeps the Bellman operator monotone and a
 gamma-contraction in the max norm.  The module provides the operator
-itself, value iteration, policy evaluation (iterative or by a direct
-sparse solve), a generic discounted-cost evaluator, the full-information
-reference value, regret curves, greedy policy extraction with boundary
-reporting, and enumeration of reachable beliefs.
+itself, value iteration, Howard policy iteration with a Bellman-residual
+certificate, policy evaluation (iterative, or by a direct sparse solve
+with a residual certificate), a generic discounted-cost evaluator, the
+full-information reference value, regret curves, greedy policy
+extraction with boundary reporting, and enumeration of reachable
+beliefs.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ __all__ = [
     "value_iteration",
     "policy_evaluation",
     "policy_iteration",
+    "certify_optimal",
     "evaluate_cost",
     "policy_transition",
     "mdp_value",
@@ -315,15 +318,24 @@ def _resolve_costs(cost, grid):
 def _fixed_point(st, qdist, per_node, tol, max_sweeps, method, what):
     """Solve v = per_node + gamma * M_pi v either by sweeping or directly."""
     prob, grid = st.prob, st.grid
-    if method == "direct":
-        A, _, _ = st.policy_system(qdist)
-        return ValueFunction(grid, spla.spsolve(A, per_node))
-    if method != "sweep":
+    if method not in ("direct", "sweep"):
         raise ValueError(f"unknown method {method!r}")
     if tol is None:
         tol = default_tolerance(prob.gamma)
     if tol <= 0.0:
         raise ValueError("tol must be positive")
+    if method == "direct":
+        A, _, _ = st.policy_system(qdist)
+        v = spla.spsolve(A, per_node)
+        # ||v - v_pi|| <= ||r - A v|| / (1 - gamma), since ||A^-1|| <= 1/(1 - gamma)
+        cert = float(np.max(np.abs(per_node - A @ v))) / (1.0 - prob.gamma)
+        if cert > tol:
+            raise IterationLimit(
+                f"{what}: certified error {cert:.3g} of the direct solve exceeds tol={tol:g}",
+                iterations=1,
+                residual=cert,
+            )
+        return ValueFunction(grid, v)
     if max_sweeps is None:
         max_sweeps = _default_max_sweeps(prob.gamma, tol)
     v = np.zeros(grid.n_points)
@@ -355,7 +367,10 @@ def policy_evaluation(
     method="sweep" iterates the policy backup with the same contraction
     guarantee as value_iteration; method="direct" solves the sparse linear
     system (I - gamma*M)v = r in one shot, which is preferable on large
-    grids or for gamma very close to 1.
+    grids or for gamma very close to 1, and certifies it by the residual
+    bound ||v - v_pi|| <= ||r - (I - gamma*M)v|| / (1-gamma).  Either
+    method raises IterationLimit when its bound misses tol (default
+    default_tolerance(gamma)).
     """
     st = _Stencil(prob, policy.grid)
     rpi = (1.0 - policy.q) * st.r[-1] + policy.q * st.r[1]
@@ -385,15 +400,23 @@ def evaluate_cost(
 def policy_iteration(
     prob: DiscountedProblem,
     grid: BeliefGrid,
-    max_rounds: int = 100,
+    max_rounds: int | None = None,
 ):
     """Howard policy iteration with direct-solve evaluations.
 
     Starts from the myopic greedy policy and alternates exact evaluation
     with greedy improvement until the policy stops changing.  Settles in a
-    handful of rounds and is far cheaper than value iteration when gamma
-    is close to 1.  Returns (ValueFunction, PolicyTable, rounds).
+    handful of rounds on informative arms and is far cheaper than value
+    iteration when gamma is close to 1.  Near a fair coin the boundary
+    ends far from the myopic start and moves one or two nodes per round,
+    so the default budget is one round per grid node.
+
+    Returns (ValueFunction, PolicyTable, rounds).  The value is the grid
+    optimum up to the rounding of the linear solves; certify_optimal
+    bounds that error by one more Bellman backup.
     """
+    if max_rounds is None:
+        max_rounds = grid.n_points
     st = _Stencil(prob, grid)
     qd = st.greedy(np.zeros(grid.n_points))
     for k in range(1, max_rounds + 1):
@@ -408,6 +431,29 @@ def policy_iteration(
         f"policy iteration did not settle in {max_rounds} rounds",
         iterations=max_rounds,
     )
+
+
+def certify_optimal(
+    prob: DiscountedProblem, v: ValueFunction, tol: float | None = None
+) -> float:
+    """Certified distance to the grid optimum, from one Bellman backup.
+
+    Returns the bound ||v - V*||_inf <= ||Tv - v||_inf / (1-gamma)
+    (Puterman 1994, ch. 6) and raises IterationLimit when it exceeds tol
+    (default default_tolerance(gamma)).
+    """
+    if tol is None:
+        tol = default_tolerance(prob.gamma)
+    if tol <= 0.0:
+        raise ValueError("tol must be positive")
+    st = _Stencil(prob, v.grid)
+    bound = float(np.max(np.abs(st.backup(v.values) - v.values))) / (1.0 - prob.gamma)
+    if bound > tol:
+        raise IterationLimit(
+            f"certified error {bound:.3g} of the optimal value exceeds tol={tol:g}",
+            residual=bound,
+        )
+    return bound
 
 
 def policy_transition(prob: DiscountedProblem, policy: PolicyTable):

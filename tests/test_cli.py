@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 from artifact import cli
+from artifact.analytic import symmetric_regret_at_uniform
 from artifact.errors import IterationLimit
 
 
@@ -102,7 +103,7 @@ class TestSolve:
         def boom(*args, **kwargs):
             raise IterationLimit("sweep budget exhausted", 10, 1.0)
 
-        monkeypatch.setattr(cli, "value_iteration", boom)
+        monkeypatch.setattr(cli, "policy_iteration", boom)
         rc = cli.main(
             [
                 "solve",
@@ -112,6 +113,34 @@ class TestSolve:
         )
         assert rc == 3
         assert "error:" in capsys.readouterr().err
+
+    def test_long_horizon_matches_closed_form(self, tmp_path, capsys):
+        rc = cli.main(
+            [
+                "solve",
+                "--theta-minus", "0.7", "--theta-plus", "0.7",
+                "--gamma", "0.9999", "--grid", "401", "--out", str(tmp_path),
+            ]
+        )
+        assert rc == 0
+        assert "certified error" in capsys.readouterr().out
+        summary = json.loads((tmp_path / "summary.json").read_text())
+        want = symmetric_regret_at_uniform(0.7, 0.9999)
+        h = 2.0 / (401 - 1)
+        assert abs(summary["max_regret"] - want) <= 2.0 * h * want
+        assert 0.0 <= summary["error_bound"] <= summary["tolerance"]
+
+    def test_tol_below_certificate_exits_3(self, tmp_path, capsys):
+        rc = cli.main(
+            [
+                "solve",
+                "--theta-minus", "0.7", "--theta-plus", "0.7",
+                "--gamma", "0.9999", "--grid", "401", "--tol", "1e-14",
+                "--out", str(tmp_path),
+            ]
+        )
+        assert rc == 3
+        assert "certified error" in capsys.readouterr().err
 
 
 class TestIds:
@@ -164,6 +193,17 @@ class TestIds:
             ]
         )
         assert rc == 2
+
+    def test_tol_bounds_certified_error(self, tmp_path, capsys):
+        args = [
+            "ids",
+            "--theta-minus", "0.55", "--theta-plus", "0.7",
+            "--gamma", "0.99", "--alpha", "0.5", "--grid", "201",
+            "--out", str(tmp_path),
+        ]
+        assert cli.main(args) == 0
+        assert cli.main(args + ["--tol", "1e-30"]) == 3
+        assert "certified error" in capsys.readouterr().err
 
     def test_evaluation_failure_exits_3(self, tmp_path, monkeypatch, capsys):
         def boom(*args, **kwargs):

@@ -315,6 +315,14 @@ class TestRunManifest:
             paths.append(Path(run_manifest(m)["csv"]))
         assert paths[0].read_bytes() == paths[1].read_bytes()
 
+    def test_tol_does_not_change_bytes(self, tmp_path):
+        # tol only accepts or rejects the certified optimal value
+        plain = make_manifest(out_dir=str(tmp_path / "plain"))
+        bounded = make_manifest(tol=1e-6, out_dir=str(tmp_path / "bounded"))
+        b1 = Path(run_manifest(plain)["csv"]).read_bytes()
+        b2 = Path(run_manifest(bounded)["csv"]).read_bytes()
+        assert b1 == b2
+
     def test_workers_do_not_change_bytes(self, tmp_path):
         raw = {
             "kind": "heatmap",

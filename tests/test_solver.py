@@ -17,6 +17,7 @@ from artifact.solver import (
     ValueFunction,
     bellman_apply,
     bellman_backup,
+    certify_optimal,
     decision_boundary,
     default_tolerance,
     evaluate_cost,
@@ -239,6 +240,16 @@ class TestPolicyEvaluation:
         b = policy_evaluation(prob, pol, method="direct")
         assert np.max(np.abs(a.values - b.values)) <= 1e-6
 
+    def test_direct_solve_is_certified_against_tol(self):
+        prob = DiscountedProblem(BanditSpec(0.55, 0.7), 0.99)
+        grid = BeliefGrid(201)
+        pol = PolicyTable(grid, np.full(grid.n_points, 0.5))
+        policy_evaluation(prob, pol, method="direct")
+        with pytest.raises(IterationLimit) as info:
+            policy_evaluation(prob, pol, tol=1e-30, method="direct")
+        assert info.value.iterations == 1
+        assert 0.0 < info.value.residual <= default_tolerance(prob.gamma)
+
     def test_unknown_method_rejected(self):
         prob = DiscountedProblem(BanditSpec(0.55, 0.7), 0.9)
         grid = BeliefGrid(11)
@@ -380,6 +391,29 @@ class TestPolicyExtraction:
         budget = 2.0 * default_tolerance(prob.gamma) * prob.gamma / (1.0 - prob.gamma)
         assert np.max(np.abs(v_pi.values - v_vi.values)) <= budget
         assert pol.boundary is not None
+
+    def test_policy_iteration_budget_scales_with_grid(self):
+        # near a fair coin the boundary moves from the myopic start by one
+        # or two nodes per round and needs more than 100 rounds
+        prob = DiscountedProblem(BanditSpec(0.5, 0.505), 0.99999)
+        grid = BeliefGrid(401)
+        v, _, rounds = policy_iteration(prob, grid)
+        assert 100 < rounds <= grid.n_points
+        assert certify_optimal(prob, v) <= default_tolerance(prob.gamma)
+        with pytest.raises(IterationLimit):
+            policy_iteration(prob, grid, max_rounds=100)
+
+    def test_certificate_bounds_distance_to_optimum(self):
+        prob = DiscountedProblem(BanditSpec(0.55, 0.7), 0.99)
+        grid = BeliefGrid(401)
+        v_pi, _, _ = policy_iteration(prob, grid)
+        assert certify_optimal(prob, v_pi) <= 1e-9
+        v_vi, _ = value_iteration(prob, grid, tol=1e-3)
+        bound = certify_optimal(prob, v_vi, tol=1.0)
+        assert np.max(np.abs(v_vi.values - v_pi.values)) <= bound
+        with pytest.raises(IterationLimit) as info:
+            certify_optimal(prob, v_vi)
+        assert info.value.residual == bound
 
     def test_transition_rows_are_stochastic(self):
         prob = DiscountedProblem(BanditSpec(0.55, 0.7), 0.9)
