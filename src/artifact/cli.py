@@ -9,7 +9,9 @@ standard output carries a short summary only.
 `solve`, `compare` and sweeps share one optimal solver: policy iteration
 followed by one Bellman backup that certifies ||V - V*|| <= ||TV - V||/(1-gamma).
 `ids` certifies its linear solve by the residual bound.  --tol is the
-acceptance bound on the certified error (default 1e-9/(1-gamma)).
+acceptance bound on the certified error (default 1e-9/(1-gamma), raised
+to the float floor 8*eps/(1-gamma)^2 of a certificate when gamma is
+above 1 - 1.8e-6).
 
 Exit codes: 0 success, 2 invalid parameters or unreadable manifest,
 3 solver non-convergence or certified error above --tol, 4 comparison
@@ -34,7 +36,14 @@ from .analytic import (
 from .bandit import BanditSpec, entropy
 from .errors import BanditError, InvalidManifest, IterationLimit
 from .experiments import SweepManifest, run_manifest
-from .ids import IdsConfig, ids_policy_on_grid, regret_bound, sup_info_ratio, _grid_arrays
+from .ids import (
+    IdsConfig,
+    ids_endpoints,
+    ids_policy_on_grid,
+    ratio,
+    regret_bound,
+    sup_info_ratio,
+)
 from .solver import (
     BeliefGrid,
     DiscountedProblem,
@@ -71,7 +80,8 @@ def build_parser() -> argparse.ArgumentParser:
             type=float,
             default=None,
             help="acceptance bound on the certified error ||V - V*|| "
-            "(default 1e-9/(1-gamma)); exit 3 if not met",
+            "(default 1e-9/(1-gamma), at least 8*eps/(1-gamma)^2, the float "
+            "floor of the certificate); exit 3 if not met",
         )
         p.add_argument("--out", default=".", help="output directory")
         p.add_argument("--format", choices=("csv", "json"), default="csv")
@@ -166,21 +176,10 @@ def cmd_ids(args) -> int:
     regret = regret_curve(prob, v)
     psi = sup_info_ratio(prob, policy, args.alpha)
     bound, holds = regret_bound(prob, policy, args.alpha, 0.0, value=v)
-    d0, d1, i0, i1, _ = _grid_arrays(prob, grid)
+    d0, d1, i0, i1 = ids_endpoints(prob.spec, prob.gamma, grid.nodes)
     q = policy.q
-    ratio_rows = zip(
-        grid.nodes,
-        d0,
-        d1,
-        i0,
-        i1,
-        q,
-        np.where(
-            (1 - q) * d0 + q * d1 <= 0.0,
-            0.0,
-            _ratio_column(d0, d1, i0, i1, q, args.alpha),
-        ),
-    )
+    r = ratio((1 - q) * d0 + q * d1, (1 - q) * i0 + q * i1, args.alpha)
+    ratio_rows = zip(grid.nodes, d0, d1, i0, i1, q, r)
     summary = {
         "theta_minus": prob.spec.theta_minus,
         "theta_plus": prob.spec.theta_plus,
@@ -211,19 +210,6 @@ def cmd_ids(args) -> int:
         f"bound {artio.fmt(bound)} ({verdict})"
     )
     return 0
-
-
-def _ratio_column(d0, d1, i0, i1, q, alpha):
-    d = (1 - q) * d0 + q * d1
-    i = (1 - q) * i0 + q * i1
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        if alpha == 0.0:
-            r = np.where(i > 0, d / np.maximum(i, 1e-300), np.inf)
-        else:
-            p = 1.0 / alpha
-            r = d**p / np.maximum(i, 1e-300) ** (p - 1.0)
-            r = np.where((i <= 0) & (d > 0), np.inf, r)
-    return r
 
 
 def cmd_compare(args) -> int:

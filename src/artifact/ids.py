@@ -2,17 +2,22 @@
 
 At each belief the policy trades the one-step regret Delta against a
 discounted information gain I, both affine in the mixing weight q placed
-on arm +1.  For alpha in (0, 1] the objective Delta(q)^(1/alpha) *
-I(q)^(1 - 1/alpha) is convex on [0, 1] (it is a perspective-type
-composition of affine maps), so a bracketed ternary search plus an
-endpoint snap finds the minimizer.  At alpha = 0 the exponent collapses
-and the objective Delta(q)/I(q) is linear-fractional, minimized at an
-endpoint, so only q = 0 and q = 1 are compared.  Beliefs where no action
-carries information fall back to the greedy action.
+on arm +1.  For alpha in (0, 1] it minimizes Delta(q)^p / I(q)^(p-1),
+p = 1/alpha, which is convex on [0, 1] (a perspective-type composition of
+affine maps).  Its logarithm p log Delta(q) - (p-1) log I(q) has at most
+one stationary point, q* = ((p-1) I' Delta_- - p Delta' I_-) / (Delta' I')
+with Delta' = Delta_+ - Delta_- and I' = I_+ - I_-, so the minimizer is
+q* clipped to [0, 1] or one of the two arms (the IDS minimizer mixes at
+most two actions: Russo & Van Roy, Operations Research 2018).  The three
+candidates are compared in log space, which neither under- nor overflows
+at small alpha.  At alpha = 0 the objective Delta/I is linear-fractional
+and minimized at an arm, so only the two arms are compared.  Beliefs
+where no action carries information fall back to the greedy action.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,11 +25,8 @@ import numpy as np
 from .bandit import (
     ActionDistribution,
     BanditSpec,
-    belief_update,
+    _check_beta,
     entropy,
-    expected_reward,
-    obs_prob,
-    regret_gap,
     win_prob,
 )
 from .errors import DegenerateRatio
@@ -44,6 +46,8 @@ __all__ = [
     "RatioEvaluation",
     "information_function",
     "info_ratio",
+    "ratio",
+    "ids_endpoints",
     "ids_action_dist",
     "ids_policy_on_grid",
     "sup_info_ratio",
@@ -52,7 +56,6 @@ __all__ = [
 ]
 
 DEFAULT_INFO_FLOOR = 1e-12
-_TERNARY_ITERS = 200
 
 
 @dataclass(frozen=True)
@@ -83,14 +86,32 @@ class RatioEvaluation:
     q_star: ActionDistribution
 
 
-def _action_information(spec, beta, a, gamma):
-    h = entropy(beta)
-    acc = 0.0
-    for y in (0, 1):
-        p = obs_prob(spec, beta, a, y)
-        if p > 0.0:
-            acc += p * entropy(belief_update(spec, beta, a, y))
-    return h - gamma * acc
+def ids_endpoints(spec: BanditSpec, gamma: float, beliefs):
+    """One-step regrets and discounted informations of the two arms.
+
+    Returns arrays (Delta_-, Delta_+, I_-, I_+) with one entry per belief;
+    a mixture placing q on arm +1 has (1-q)*x_- + q*x_+ of each.
+    I_a = H(beta) - gamma * E[H(beta')] after one pull of arm a.
+    """
+    b = np.asarray(beliefs, dtype=float)
+    bm = (1.0 - b) / 2.0
+    bp = (1.0 + b) / 2.0
+    best = {s: max(win_prob(spec, s, -1), win_prob(spec, s, 1)) for s in (-1, 1)}
+    h = entropy(b)
+    ends = {}
+    for a in (-1, 1):
+        delta = bm * (best[-1] - win_prob(spec, -1, a)) + bp * (best[1] - win_prob(spec, 1, a))
+        d = spec.bias(a)
+        acc = np.zeros_like(b)
+        for y in (0, 1):
+            c = a * (2 * y - 1)
+            p = (1.0 + c * b * d) / 2.0
+            with np.errstate(divide="ignore", invalid="ignore"):
+                bpost = np.where(p > 0.0, (b + c * d) / np.maximum(2.0 * p, 1e-300), b)
+            bpost = np.clip(bpost, -1.0, 1.0)
+            acc += np.where(p > 0.0, p * entropy(bpost), 0.0)
+        ends[a] = delta, h - gamma * acc
+    return ends[-1][0], ends[1][0], ends[-1][1], ends[1][1]
 
 
 def information_function(spec: BanditSpec, beta: float, dist, gamma: float) -> float:
@@ -102,9 +123,30 @@ def information_function(spec: BanditSpec, beta: float, dist, gamma: float) -> f
     raise the expected posterior entropy.
     """
     q = dist.q if isinstance(dist, ActionDistribution) else float(dist)
-    i0 = _action_information(spec, beta, -1, gamma)
-    i1 = _action_information(spec, beta, 1, gamma)
-    return (1.0 - q) * i0 + q * i1
+    _, _, i0, i1 = ids_endpoints(spec, gamma, [_check_beta(beta)])
+    return float((1.0 - q) * i0[0] + q * i1[0])
+
+
+def _scaled_log_ratio(d, i, alpha):
+    """alpha * log ratio(d, i, alpha), and log(d/i) at alpha = 0: both are
+    log d - (1-alpha) log i, elementwise, with -inf where d <= 0 and +inf
+    where d > 0 >= i.  The factor alpha keeps the order of the ratios and
+    keeps the value in float range however small alpha is."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        val = np.log(d) - (1.0 - alpha) * np.log(i)
+    val = np.where(np.asarray(i) > 0.0, val, np.inf)
+    return np.where(np.asarray(d) > 0.0, val, -np.inf)
+
+
+def ratio(d, i, alpha: float):
+    """IDS objective Delta^(1/alpha) / I^(1/alpha - 1), and Delta/I at
+    alpha = 0, elementwise.
+
+    Zero regret gives 0 whatever the information; positive regret
+    without information gives inf, as does a value beyond the float range.
+    """
+    with np.errstate(over="ignore"):
+        return np.exp(_scaled_log_ratio(d, i, alpha) / (alpha if alpha > 0.0 else 1.0))
 
 
 def info_ratio(delta: float, info: float, alpha: float) -> float:
@@ -118,144 +160,62 @@ def info_ratio(delta: float, info: float, alpha: float) -> float:
         raise ValueError(f"alpha must lie in (0, 1], got {alpha}")
     if delta < 0.0 or info < 0.0:
         raise ValueError("delta and info must be nonnegative")
-    if delta == 0.0:
-        return 0.0
-    if info == 0.0:
+    if delta > 0.0 and info == 0.0:
         raise DegenerateRatio(f"ratio {delta}/0 is undefined; use the guard path")
     if alpha == 1.0:
         return delta
-    p = 1.0 / alpha
-    return delta**p / info ** (p - 1.0)
+    return float(ratio(delta, info, alpha))
 
 
-def _safe_ratio_zero(d, i):
-    """alpha = 0 convention: Delta/I with 0/x = 0 and x/0 = inf."""
-    if d <= 0.0:
-        return 0.0
-    if i <= 0.0:
-        return np.inf
-    return d / i
+def _greedy_q(spec, b):
+    return np.where(1.0 + b * spec.bias_plus >= 1.0 - b * spec.bias_minus, 1.0, 0.0)
 
 
-def _objective_scalar(d, i, alpha):
-    if d <= 0.0:
-        return 0.0
-    if i <= 0.0:
-        return np.inf
-    p = 1.0 / alpha
-    return d**p / i ** (p - 1.0)
+def _ids_q(d0, d1, i0, i1, alpha, greedy):
+    """Mixture on arm +1 that minimizes the IDS(alpha) objective, per node.
+
+    The candidates are the greedy arm, the other arm and, for alpha > 0,
+    the stationary point q* = ((1-alpha) I' D_- - D' I_-) / (alpha D' I')
+    of the log objective, clipped to [0, 1] (greedy where it does not
+    exist).  A candidate whose log objective is within 1e-12 of the
+    smallest counts as tied (1e-12 * alpha after scaling by alpha, so the
+    two arms compare exactly at alpha = 0), and ties go to the earliest
+    candidate, which keeps the gamma -> 0 limit exactly greedy.
+    """
+    cands = [greedy, 1.0 - greedy]
+    if alpha > 0.0:
+        dd, di = d1 - d0, i1 - i0
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            stat = np.clip(((1.0 - alpha) * di * d0 - dd * i0) / (alpha * dd * di), 0.0, 1.0)
+        cands.append(np.where(np.isfinite(stat), stat, greedy))
+    vals = np.stack(
+        [_scaled_log_ratio((1.0 - c) * d0 + c * d1, (1.0 - c) * i0 + c * i1, alpha)
+         for c in cands]
+    )
+    near = vals <= np.min(vals, axis=0) + 1e-12 * alpha
+    return np.choose(np.argmax(near, axis=0), cands)
 
 
-def _greedy_q(spec, beta):
-    return 1.0 if expected_reward(spec, beta, 1) >= expected_reward(spec, beta, -1) else 0.0
+def _ids_policy_q(spec, config, beliefs):
+    """IDS mixture at each belief, with the arm endpoints it was chosen from."""
+    ends = ids_endpoints(spec, config.gamma, beliefs)
+    greedy = _greedy_q(spec, beliefs)
+    guard = np.maximum(ends[2], ends[3]) < config.info_floor
+    return np.where(guard, greedy, _ids_q(*ends, config.alpha, greedy)), ends
 
 
 def ids_action_dist(spec: BanditSpec, beta: float, config: IdsConfig) -> RatioEvaluation:
     """Minimize the information ratio over mixed actions at one belief.
 
-    Ties at alpha = 0 and near-ties after the ternary search both resolve
-    toward the greedy endpoint, which keeps the gamma -> 0 limit exact.
+    Runs the grid kernel of ids_policy_on_grid on this one belief, so both
+    return the same q at a grid node.  Ties and near-ties resolve toward
+    the greedy arm, which keeps the gamma -> 0 limit exact.
     """
-    d0 = regret_gap(spec, beta, -1)
-    d1 = regret_gap(spec, beta, 1)
-    i0 = _action_information(spec, beta, -1, config.gamma)
-    i1 = _action_information(spec, beta, 1, config.gamma)
-    greedy = _greedy_q(spec, beta)
-
-    def mix(x0, x1, q):
-        return (1.0 - q) * x0 + q * x1
-
-    def ratio_at(q):
-        d, i = mix(d0, d1, q), mix(i0, i1, q)
-        if config.alpha == 0.0:
-            return _safe_ratio_zero(d, i)
-        return _objective_scalar(d, i, config.alpha)
-
-    if max(i0, i1) < config.info_floor:
-        q = greedy
-        return RatioEvaluation(
-            mix(d0, d1, q), mix(i0, i1, q), ratio_at(q), ActionDistribution(q)
-        )
-
-    if config.alpha == 0.0:
-        r0 = _safe_ratio_zero(d0, i0)
-        r1 = _safe_ratio_zero(d1, i1)
-        if r1 < r0:
-            q = 1.0
-        elif r0 < r1:
-            q = 0.0
-        else:
-            q = greedy
-        return RatioEvaluation(
-            mix(d0, d1, q), mix(i0, i1, q), ratio_at(q), ActionDistribution(q)
-        )
-
-    lo, hi = 0.0, 1.0
-    for _ in range(_TERNARY_ITERS):
-        m1 = lo + (hi - lo) / 3.0
-        m2 = hi - (hi - lo) / 3.0
-        if ratio_at(m1) > ratio_at(m2):
-            lo = m1
-        else:
-            hi = m2
-    qt = (lo + hi) / 2.0
-    other = 1.0 - greedy
-    vals = {greedy: ratio_at(greedy), other: ratio_at(other), qt: ratio_at(qt)}
-    best = min(vals.values())
-    tol = 1e-12 * max(1.0, abs(best))
-    for q in (greedy, other, qt):
-        if vals[q] <= best + tol:
-            return RatioEvaluation(
-                mix(d0, d1, q), mix(i0, i1, q), vals[q], ActionDistribution(q)
-            )
-    raise AssertionError("unreachable")
-
-
-def _grid_arrays(prob: DiscountedProblem, grid: BeliefGrid):
-    """Delta and information endpoints plus entropy, vectorized per node."""
-    spec, gamma = prob.spec, prob.gamma
-    nodes = grid.nodes
-    bm = (1.0 - nodes) / 2.0
-    bp = (1.0 + nodes) / 2.0
-    best = {
-        s: max(win_prob(spec, s, -1), win_prob(spec, s, 1)) for s in (-1, 1)
-    }
-    gaps = {
-        a: {s: best[s] - win_prob(spec, s, a) for s in (-1, 1)} for a in (-1, 1)
-    }
-    d0 = bm * gaps[-1][-1] + bp * gaps[-1][1]
-    d1 = bm * gaps[1][-1] + bp * gaps[1][1]
-    h = entropy(nodes)
-    info = {}
-    for a in (-1, 1):
-        d = spec.bias(a)
-        acc = np.zeros_like(nodes)
-        for y in (0, 1):
-            c = a * (2 * y - 1)
-            p = (1.0 + c * nodes * d) / 2.0
-            with np.errstate(divide="ignore", invalid="ignore"):
-                bpost = np.where(
-                    p > 0.0, (nodes + c * d) / np.maximum(2.0 * p, 1e-300), nodes
-                )
-            bpost = np.clip(bpost, -1.0, 1.0)
-            acc += np.where(p > 0.0, p * entropy(bpost), 0.0)
-        info[a] = h - gamma * acc
-    return d0, d1, info[-1], info[1], h
-
-
-def _greedy_q_array(prob, grid):
-    spec = prob.spec
-    nodes = grid.nodes
-    er_p = (1.0 + nodes * spec.bias_plus) / 2.0
-    er_m = (1.0 - nodes * spec.bias_minus) / 2.0
-    return np.where(er_p >= er_m, 1.0, 0.0)
-
-
-def _objective_array(d, i, alpha):
-    p = 1.0 / alpha
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        val = np.where(d <= 0.0, 0.0, d**p / np.maximum(i, 1e-300) ** (p - 1.0))
-    return np.where((i <= 0.0) & (d > 0.0), np.inf, val)
+    q, (d0, d1, i0, i1) = _ids_policy_q(spec, config, np.array([_check_beta(beta)]))
+    q = float(q[0])
+    d = float((1.0 - q) * d0[0] + q * d1[0])
+    i = float((1.0 - q) * i0[0] + q * i1[0])
+    return RatioEvaluation(d, i, float(ratio(d, i, config.alpha)), ActionDistribution(q))
 
 
 def ids_policy_on_grid(
@@ -270,42 +230,20 @@ def ids_policy_on_grid(
         raise ValueError(
             f"config.gamma={config.gamma} disagrees with prob.gamma={prob.gamma}"
         )
-    d0, d1, i0, i1, _ = _grid_arrays(prob, grid)
-    n = grid.n_points
-    greedy = _greedy_q_array(prob, grid)
-    guard = np.maximum(i0, i1) < config.info_floor
+    q, _ = _ids_policy_q(prob.spec, config, grid.nodes)
+    return _policy_from_q(grid, q)
 
-    if config.alpha == 0.0:
-        with np.errstate(divide="ignore", invalid="ignore"):
-            r0 = np.where(d0 <= 0.0, 0.0, np.where(i0 > 0.0, d0 / np.maximum(i0, 1e-300), np.inf))
-            r1 = np.where(d1 <= 0.0, 0.0, np.where(i1 > 0.0, d1 / np.maximum(i1, 1e-300), np.inf))
-        qout = np.where(r1 < r0, 1.0, np.where(r0 < r1, 0.0, greedy))
-    else:
 
-        def f(q):
-            return _objective_array((1.0 - q) * d0 + q * d1, (1.0 - q) * i0 + q * i1, config.alpha)
-
-        lo = np.zeros(n)
-        hi = np.ones(n)
-        for _ in range(_TERNARY_ITERS):
-            m1 = lo + (hi - lo) / 3.0
-            m2 = hi - (hi - lo) / 3.0
-            take_right = f(m1) > f(m2)
-            lo = np.where(take_right, m1, lo)
-            hi = np.where(take_right, hi, m2)
-        qt = (lo + hi) / 2.0
-        cands = np.stack([np.zeros(n), np.ones(n), qt])
-        vals = np.stack([f(c) for c in cands])
-        best = np.min(vals, axis=0)
-        near = vals <= best + 1e-12 * np.maximum(1.0, np.abs(best))
-        idx = np.arange(n)
-        idx_greedy = np.where(greedy == 1.0, 1, 0)
-        pick_greedy = near[idx_greedy, idx]
-        pick_other = (~pick_greedy) & near[1 - idx_greedy, idx]
-        qout = np.where(pick_greedy, greedy, np.where(pick_other, 1.0 - greedy, qt))
-
-    qout = np.where(guard, greedy, qout)
-    return _policy_from_q(grid, qout)
+def _scaled_log_sup_ratio(prob, policy, alpha, info_floor):
+    """alpha * log sup_info_ratio, and log sup_info_ratio at alpha = 0."""
+    if not 0.0 <= alpha <= 1.0:
+        raise ValueError(f"alpha must lie in [0, 1], got {alpha}")
+    d0, d1, i0, i1 = ids_endpoints(prob.spec, prob.gamma, policy.grid.nodes)
+    q = policy.q
+    d = (1.0 - q) * d0 + q * d1
+    i = (1.0 - q) * i0 + q * i1
+    skip = (i < info_floor) & (d < info_floor)
+    return float(np.max(np.where(skip, -np.inf, _scaled_log_ratio(d, i, alpha))))
 
 
 def sup_info_ratio(
@@ -318,22 +256,13 @@ def sup_info_ratio(
 
     Nodes where both the regret and the information sit below the floor
     are guard territory and are skipped; a node with real regret but no
-    information legitimately pushes the supremum to infinity.
+    information legitimately pushes the supremum to infinity.  The
+    maximum is taken in log space, so the result is inf only when the
+    supremum lies beyond the float range.
     """
-    if not 0.0 <= alpha <= 1.0:
-        raise ValueError(f"alpha must lie in [0, 1], got {alpha}")
-    d0, d1, i0, i1, _ = _grid_arrays(prob, policy.grid)
-    q = policy.q
-    d = (1.0 - q) * d0 + q * d1
-    i = (1.0 - q) * i0 + q * i1
-    skip = (i < info_floor) & (d < info_floor)
-    if alpha == 0.0:
-        with np.errstate(divide="ignore", invalid="ignore"):
-            r = np.where(d <= 0.0, 0.0, np.where(i > 0.0, d / np.maximum(i, 1e-300), np.inf))
-    else:
-        r = _objective_array(d, i, alpha)
-    r = np.where(skip, 0.0, r)
-    return float(np.max(r)) if len(r) else 0.0
+    s = _scaled_log_sup_ratio(prob, policy, alpha, info_floor)
+    with np.errstate(over="ignore"):
+        return float(np.exp(s / (alpha if alpha > 0.0 else 1.0)))
 
 
 def regret_bound(
@@ -347,20 +276,22 @@ def regret_bound(
     """Worst-case discounted regret bound at beta0 and whether it holds.
 
     The bound is (sup_ratio / (1-gamma))^alpha * H(beta0)^(1-alpha) for
-    alpha in (0, 1] and sup(Delta/I) * H(beta0) at alpha = 0.  The policy
-    value is recomputed by a direct solve unless `value` is supplied.
-    `holds` compares the measured regret against the bound plus a
-    relative slack.
+    alpha in (0, 1], which tends to sup(Delta/I) * H(beta0), the bound at
+    alpha = 0.  It is computed as exp(alpha*(log psi - log(1-gamma)) +
+    (1-alpha)*log H(beta0)) from alpha * log psi, which stays in float
+    range as alpha -> 0 although psi itself overflows.  The policy value
+    is recomputed by a direct solve unless `value` is supplied.  `holds`
+    compares the measured regret against the bound plus a relative slack.
     """
-    psi = sup_info_ratio(prob, policy, alpha)
+    s = _scaled_log_sup_ratio(prob, policy, alpha, DEFAULT_INFO_FLOOR)
     h0 = entropy(beta0)
     if alpha < 1.0 and h0 == 0.0:
         # certainty start: the regret is zero whatever the sup ratio is
         bound = 0.0
-    elif alpha == 0.0:
-        bound = psi * h0
     else:
-        bound = (psi / (1.0 - prob.gamma)) ** alpha * h0 ** (1.0 - alpha)
+        log_h = (1.0 - alpha) * math.log(h0) if alpha < 1.0 else 0.0
+        with np.errstate(over="ignore"):
+            bound = np.exp(s - alpha * math.log(1.0 - prob.gamma) + log_h)
     if value is None:
         value = policy_evaluation(prob, policy, method="direct")
     measured = mdp_value(prob, beta0) - value(beta0)

@@ -143,6 +143,17 @@ class TestSolve:
         assert "certified error" in capsys.readouterr().err
 
 
+    def test_default_tol_clears_rounding_floor_near_gamma_one(self, tmp_path, capsys):
+        args = [
+            "solve",
+            "--theta-minus", "0.55", "--theta-plus", "0.7",
+            "--gamma", "0.9999999", "--out", str(tmp_path),
+        ]
+        assert cli.main(args) == 0
+        assert cli.main(args + ["--tol", "1e-14"]) == 3
+        assert "certified error" in capsys.readouterr().err
+
+
 class TestIds:
     def test_writes_bundle_and_bound_holds(self, tmp_path):
         proc = run_cli(

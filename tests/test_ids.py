@@ -6,6 +6,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from artifact.bandit import (
     BanditSpec,
@@ -16,9 +18,11 @@ from artifact.bandit import (
 )
 from artifact.errors import DegenerateRatio
 from artifact.ids import (
+    DEFAULT_INFO_FLOOR,
     IdsConfig,
     entropy_reduction_cost,
     ids_action_dist,
+    ids_endpoints,
     ids_policy_on_grid,
     info_ratio,
     information_function,
@@ -30,6 +34,8 @@ from artifact.solver import (
     DiscountedProblem,
     evaluate_cost,
     extract_greedy_policy,
+    policy_evaluation,
+    regret_curve,
     value_iteration,
 )
 
@@ -216,6 +222,85 @@ class TestActionSelection:
             information_function(spec, -0.3, q, 0.99), abs=1e-12
         )
         assert ev.delta >= 0.0 and ev.info >= 0.0 and ev.ratio >= 0.0
+
+
+def scaled_log_objective(ends, q, alpha):
+    """alpha * log of D(q)^p / I(q)^(p-1), p = 1/alpha, for mixtures q,
+    that is log D(q) - (1-alpha) log I(q); -inf where D(q) = 0, +inf where
+    D(q) > 0 = I(q)."""
+    d0, d1, i0, i1 = ends
+    d, i = (1 - q) * d0 + q * d1, (1 - q) * i0 + q * i1
+    with np.errstate(divide="ignore", invalid="ignore"):
+        val = np.where(i > 0.0, np.log(d) - (1.0 - alpha) * np.log(i), np.inf)
+    return np.where(d > 0.0, val, -np.inf)
+
+
+class TestKernelProperty:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.floats(0.0, 1.0),
+        st.floats(0.0, 1.0),
+        st.floats(-1.0, 1.0),
+        st.floats(0.0, 0.999),
+        st.floats(0.0, 1.0, exclude_min=True),
+    )
+    def test_no_scanned_mixture_beats_the_kernel(self, tm, tp, beta, gamma, alpha):
+        """The selected q is a minimizer: no point of a 10,001-point scan of
+        [0, 1] has a log objective lower by more than the near-tie rule
+        (1e-12, relative in the objective) plus the float error of the
+        logarithms.  Both sides are scaled by alpha, which keeps their
+        order and keeps them finite however small alpha is."""
+        spec = BanditSpec(tm, tp)
+        ends = [float(x[0]) for x in ids_endpoints(spec, gamma, [beta])]
+        assume(max(ends[2], ends[3]) >= DEFAULT_INFO_FLOOR)
+        q = ids_action_dist(spec, beta, IdsConfig(alpha=alpha, gamma=gamma)).q_star.q
+        scan = scaled_log_objective(ends, np.linspace(0.0, 1.0, 10001), alpha)
+        k = int(np.argmin(scan))
+        m = float(scan[k])
+        got = float(scaled_log_objective(ends, np.array(q), alpha))
+        if math.isinf(m):
+            assert got == m
+            return
+        d0, d1, i0, i1 = ends
+        qk = k / 10000.0
+        logs = abs(math.log((1 - qk) * d0 + qk * d1)) + abs(math.log((1 - qk) * i0 + qk * i1))
+        float_err = 8.0 * np.finfo(float).eps * (4.0 + logs)
+        assert got <= m + 1e-12 * alpha + float_err
+
+
+class TestSmallAlphaLimit:
+    """Spec (0.55, 0.7), gamma 0.99, N 401: IDS(alpha) tends to IDS(0)."""
+
+    prob = DiscountedProblem(BanditSpec(0.55, 0.7), 0.99)
+    grid = BeliefGrid(401)
+
+    def policy(self, alpha):
+        return ids_policy_on_grid(self.prob, self.grid, IdsConfig(alpha=alpha, gamma=0.99))
+
+    def max_regret(self, alpha):
+        v = policy_evaluation(self.prob, self.policy(alpha), method="direct")
+        return float(np.max(regret_curve(self.prob, v).values))
+
+    def test_tiny_alpha_regret_matches_ids0(self):
+        r0 = self.max_regret(0.0)
+        assert r0 == pytest.approx(1.517, abs=1e-3)
+        assert abs(self.max_regret(1e-3) - r0) <= 1e-3 * r0
+
+    def test_alpha_one_hundredth_regret(self):
+        assert self.max_regret(0.01) <= 1.52
+
+    def test_tiny_alpha_bound_is_finite_and_near_ids0(self):
+        b0, _ = regret_bound(self.prob, self.policy(0.0), 0.0, 0.0)
+        bound, holds = regret_bound(self.prob, self.policy(1e-3), 1e-3, 0.0)
+        assert math.isfinite(bound)
+        assert holds
+        assert abs(bound - b0) <= 1e-3 * b0
+
+    def test_scalar_and_grid_paths_agree_exactly(self):
+        cfg = IdsConfig(alpha=0.25, gamma=0.99)
+        pol = ids_policy_on_grid(self.prob, self.grid, cfg)
+        for i, beta in enumerate(self.grid.nodes):
+            assert ids_action_dist(self.prob.spec, beta, cfg).q_star.q == pol.q[i]
 
 
 class TestGridPolicy:
