@@ -34,7 +34,7 @@ from .analytic import (
     symmetric_value,
 )
 from .bandit import BanditSpec, entropy
-from .errors import BanditError, InvalidManifest, IterationLimit
+from .errors import BanditError, InvalidManifest
 from .experiments import SweepManifest, run_manifest
 from .ids import (
     IdsConfig,
@@ -42,6 +42,7 @@ from .ids import (
     ids_policy_on_grid,
     ratio,
     regret_bound,
+    scaled_log_sup_ratio,
     sup_info_ratio,
 )
 from .solver import (
@@ -122,16 +123,26 @@ def _series(vf):
     }
 
 
+def _write_solution(args, out, stem, summary, v, regret, policy):
+    """`<stem>solution.json`, or `<stem>summary.json` and three CSVs."""
+    base = os.path.join(out, stem)
+    if args.format == "json":
+        q = {"beta": _series(v)["beta"], "q": [float(x) for x in policy.q]}
+        doc = dict(summary, value=_series(v), regret=_series(regret), policy=q)
+        artio.write_json_doc(base + "solution.json", doc)
+        return
+    artio.write_value_csv(base + "value.csv", v)
+    artio.write_value_csv(base + "regret.csv", regret)
+    artio.write_policy_csv(base + "policy.csv", policy)
+    artio.write_json_doc(base + "summary.json", summary)
+
+
 def cmd_solve(args) -> int:
     prob, grid = _problem(args)
     out = _outdir(args)
     tol = args.tol if args.tol is not None else default_tolerance(prob.gamma)
-    try:
-        v, policy, rounds = policy_iteration(prob, grid)
-        bound = certify_optimal(prob, v, tol)
-    except IterationLimit as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+    v, policy, rounds = policy_iteration(prob, grid)
+    bound = certify_optimal(prob, v, tol)
     regret = regret_curve(prob, v)
     summary = {
         "theta_minus": prob.spec.theta_minus,
@@ -144,17 +155,7 @@ def cmd_solve(args) -> int:
         "boundary": policy.boundary,
         "max_regret": float(np.max(regret.values)),
     }
-    if args.format == "json":
-        doc = dict(summary)
-        doc["value"] = _series(v)
-        doc["regret"] = _series(regret)
-        doc["policy"] = {"beta": _series(v)["beta"], "q": [float(q) for q in policy.q]}
-        artio.write_json_doc(os.path.join(out, "solution.json"), doc)
-    else:
-        artio.write_value_csv(os.path.join(out, "value.csv"), v)
-        artio.write_value_csv(os.path.join(out, "regret.csv"), regret)
-        artio.write_policy_csv(os.path.join(out, "policy.csv"), policy)
-        artio.write_json_doc(os.path.join(out, "summary.json"), summary)
+    _write_solution(args, out, "", summary, v, regret, policy)
     bc = "none" if policy.boundary is None else artio.fmt(policy.boundary)
     print(
         f"solve: {rounds} policy-iteration rounds, certified error {artio.fmt(bound)}, "
@@ -167,12 +168,8 @@ def cmd_ids(args) -> int:
     prob, grid = _problem(args)
     out = _outdir(args)
     config = IdsConfig(alpha=args.alpha, gamma=prob.gamma)
-    try:
-        policy = ids_policy_on_grid(prob, grid, config)
-        v = policy_evaluation(prob, policy, tol=args.tol, method="direct")
-    except IterationLimit as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+    policy = ids_policy_on_grid(prob, grid, config)
+    v = policy_evaluation(prob, policy, tol=args.tol, method="direct")
     regret = regret_curve(prob, v)
     psi = sup_info_ratio(prob, policy, args.alpha)
     bound, holds = regret_bound(prob, policy, args.alpha, 0.0, value=v)
@@ -187,23 +184,17 @@ def cmd_ids(args) -> int:
         "alpha": args.alpha,
         "grid_points": grid.n_points,
         "boundary": policy.boundary,
-        "sup_ratio": psi,
+        "sup_ratio": artio.json_number(psi),
+        "scaled_log_sup_ratio": artio.json_number(
+            scaled_log_sup_ratio(prob, policy, args.alpha)
+        ),
         "regret_at_zero": float(mdp_value(prob, 0.0) - v(0.0)),
-        "bound_at_zero": bound,
+        "bound_at_zero": artio.json_number(bound),
         "bound_holds": holds,
     }
-    if args.format == "json":
-        doc = dict(summary)
-        doc["value"] = _series(v)
-        doc["regret"] = _series(regret)
-        doc["policy"] = {"beta": _series(v)["beta"], "q": [float(x) for x in policy.q]}
-        artio.write_json_doc(os.path.join(out, "ids_solution.json"), doc)
-    else:
-        artio.write_value_csv(os.path.join(out, "ids_value.csv"), v)
-        artio.write_value_csv(os.path.join(out, "ids_regret.csv"), regret)
-        artio.write_policy_csv(os.path.join(out, "ids_policy.csv"), policy)
+    if args.format == "csv":
         artio.write_ratio_csv(os.path.join(out, "ids_ratios.csv"), ratio_rows)
-        artio.write_json_doc(os.path.join(out, "ids_summary.json"), summary)
+    _write_solution(args, out, "ids_", summary, v, regret, policy)
     verdict = "holds" if holds else "VIOLATED"
     print(
         f"ids(alpha={artio.fmt(args.alpha)}): regret(0) {artio.fmt(summary['regret_at_zero'])}, "
@@ -225,12 +216,8 @@ def cmd_compare(args) -> int:
             file=sys.stderr,
         )
         return 4
-    try:
-        v, policy, _ = policy_iteration(prob, grid)
-        certify_optimal(prob, v, args.tol)
-    except IterationLimit as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+    v, policy, _ = policy_iteration(prob, grid)
+    certify_optimal(prob, v, args.tol)
 
     rows = []
     if symmetric:
@@ -259,11 +246,7 @@ def cmd_compare(args) -> int:
         ok = bool(np.max(rel_dev) <= rel_tol)
         detail = f"max rel dev {artio.fmt(np.max(rel_dev))} (tol {artio.fmt(rel_tol)})"
     else:
-        try:
-            bc_num = decision_boundary(policy)
-        except BanditError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 3
+        bc_num = decision_boundary(policy)
         allowed = max(2.0 * grid.spacing, 0.1 * abs(sol.beta_c))
         ok = abs(bc_num - sol.beta_c) <= allowed
         detail = (
@@ -293,11 +276,7 @@ def cmd_sweep(args) -> int:
     except (OSError, InvalidManifest) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    try:
-        outcome = run_manifest(manifest)
-    except IterationLimit as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+    outcome = run_manifest(manifest)
     result = outcome["result"]
     print(f"sweep {manifest.kind}: {len(result.rows)} rows, "
           f"{len(result.failures)} failed, wrote {outcome['csv']}")

@@ -17,7 +17,7 @@ import json
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -83,19 +83,7 @@ class SweepManifest:
     def from_dict(cls, raw: dict) -> "SweepManifest":
         if not isinstance(raw, dict):
             raise InvalidManifest("manifest must be a JSON object")
-        known = {
-            "kind",
-            "theta_minus",
-            "theta_plus",
-            "gammas",
-            "alphas",
-            "grid",
-            "tol",
-            "beta0",
-            "symmetric",
-            "out_dir",
-        }
-        unknown = set(raw) - known
+        unknown = set(raw) - {f.name for f in fields(cls)}
         if unknown:
             raise InvalidManifest(f"unknown manifest fields: {sorted(unknown)}")
         def seq(key):
@@ -181,17 +169,8 @@ class SweepManifest:
     def canonical(self) -> dict:
         """Parameter content only; the output directory does not change
         what is computed, so it stays out of the digest."""
-        return {
-            "kind": self.kind,
-            "theta_minus": list(self.theta_minus),
-            "theta_plus": list(self.theta_plus),
-            "gammas": list(self.gammas),
-            "alphas": list(self.alphas),
-            "grid": self.grid,
-            "tol": self.tol,
-            "beta0": self.beta0,
-            "symmetric": self.symmetric,
-        }
+        doc = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "out_dir"}
+        return {k: list(v) if isinstance(v, tuple) else v for k, v in doc.items()}
 
     def digest(self) -> str:
         blob = json.dumps(self.canonical(), sort_keys=True).encode()

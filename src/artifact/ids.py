@@ -51,6 +51,7 @@ __all__ = [
     "ids_action_dist",
     "ids_policy_on_grid",
     "sup_info_ratio",
+    "scaled_log_sup_ratio",
     "regret_bound",
     "entropy_reduction_cost",
 ]
@@ -234,8 +235,14 @@ def ids_policy_on_grid(
     return _policy_from_q(grid, q)
 
 
-def _scaled_log_sup_ratio(prob, policy, alpha, info_floor):
-    """alpha * log sup_info_ratio, and log sup_info_ratio at alpha = 0."""
+def scaled_log_sup_ratio(
+    prob: DiscountedProblem,
+    policy: PolicyTable,
+    alpha: float,
+    info_floor: float = DEFAULT_INFO_FLOOR,
+) -> float:
+    """alpha * log sup_info_ratio, and log sup_info_ratio at alpha = 0;
+    finite wherever the pointwise ratios are, at every alpha."""
     if not 0.0 <= alpha <= 1.0:
         raise ValueError(f"alpha must lie in [0, 1], got {alpha}")
     d0, d1, i0, i1 = ids_endpoints(prob.spec, prob.gamma, policy.grid.nodes)
@@ -260,7 +267,7 @@ def sup_info_ratio(
     maximum is taken in log space, so the result is inf only when the
     supremum lies beyond the float range.
     """
-    s = _scaled_log_sup_ratio(prob, policy, alpha, info_floor)
+    s = scaled_log_sup_ratio(prob, policy, alpha, info_floor)
     with np.errstate(over="ignore"):
         return float(np.exp(s / (alpha if alpha > 0.0 else 1.0)))
 
@@ -283,7 +290,7 @@ def regret_bound(
     is recomputed by a direct solve unless `value` is supplied.  `holds`
     compares the measured regret against the bound plus a relative slack.
     """
-    s = _scaled_log_sup_ratio(prob, policy, alpha, DEFAULT_INFO_FLOOR)
+    s = scaled_log_sup_ratio(prob, policy, alpha)
     h0 = entropy(beta0)
     if alpha < 1.0 and h0 == 0.0:
         # certainty start: the regret is zero whatever the sup ratio is

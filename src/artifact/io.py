@@ -22,6 +22,7 @@ __all__ = [
     "write_ratio_csv",
     "write_rows_csv",
     "write_json_doc",
+    "json_number",
 ]
 
 _DIGITS = ".12g"
@@ -76,8 +77,14 @@ def read_value_csv(path) -> ValueFunction:
     return ValueFunction(grid, np.array(values))
 
 
+def json_number(x):
+    """x as a float, or None (JSON null) when it is not finite."""
+    return float(x) if np.isfinite(x) else None
+
+
 def write_json_doc(path, doc: dict):
-    """Stable JSON: sorted keys, two-space indent, trailing newline."""
+    """Stable strict JSON: sorted keys, two-space indent, trailing newline.
+    NaN and infinities raise ValueError; pass them through json_number."""
     with open(path, "w") as fh:
-        json.dump(doc, fh, sort_keys=True, indent=2)
+        json.dump(doc, fh, sort_keys=True, indent=2, allow_nan=False)
         fh.write("\n")

@@ -5,6 +5,7 @@ call main() in-process for speed and to reach the failure mappings.
 """
 
 import json
+import math
 import subprocess
 import sys
 from pathlib import Path
@@ -12,6 +13,7 @@ from pathlib import Path
 import pytest
 
 from artifact import cli
+from artifact import io as artio
 from artifact.analytic import symmetric_regret_at_uniform
 from artifact.errors import IterationLimit
 
@@ -215,6 +217,48 @@ class TestIds:
         assert cli.main(args) == 0
         assert cli.main(args + ["--tol", "1e-30"]) == 3
         assert "certified error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("fmt, name", [("csv", "ids_summary.json"),
+                                           ("json", "ids_solution.json")])
+    def test_small_alpha_writes_strict_json(self, tmp_path, fmt, name):
+        # the sup ratio lies beyond float range at alpha 1e-3
+        def reject(token):
+            raise ValueError(f"non-standard JSON constant {token}")
+
+        rc = cli.main(
+            [
+                "ids",
+                "--theta-minus", "0.55", "--theta-plus", "0.7",
+                "--gamma", "0.99", "--alpha", "0.001", "--grid", "401",
+                "--out", str(tmp_path), "--format", fmt,
+            ]
+        )
+        assert rc == 0
+        doc = json.loads((tmp_path / name).read_text(), parse_constant=reject)
+        assert doc["sup_ratio"] is None
+        assert 0.0 < doc["scaled_log_sup_ratio"] < 10.0
+        assert doc["bound_holds"] is True
+
+    def test_scaled_log_sup_ratio_matches_sup_ratio(self, tmp_path):
+        rc = cli.main(
+            [
+                "ids",
+                "--theta-minus", "0.55", "--theta-plus", "0.7",
+                "--gamma", "0.99", "--alpha", "0.5", "--grid", "201",
+                "--out", str(tmp_path),
+            ]
+        )
+        assert rc == 0
+        doc = json.loads((tmp_path / "ids_summary.json").read_text())
+        assert doc["scaled_log_sup_ratio"] == pytest.approx(
+            0.5 * math.log(doc["sup_ratio"]), rel=1e-12
+        )
+
+    def test_json_writer_rejects_non_finite(self, tmp_path):
+        with pytest.raises(ValueError):
+            artio.write_json_doc(tmp_path / "x.json", {"x": float("inf")})
+        artio.write_json_doc(tmp_path / "x.json", {"x": artio.json_number(float("nan"))})
+        assert json.loads((tmp_path / "x.json").read_text()) == {"x": None}
 
     def test_evaluation_failure_exits_3(self, tmp_path, monkeypatch, capsys):
         def boom(*args, **kwargs):

@@ -6,10 +6,13 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
+from artifact import solver
 from artifact.analytic import symmetric_value
 from artifact.bandit import BanditSpec, entropy, expected_reward, one_step_regret
 from artifact.errors import IterationLimit, MultipleBoundaries, NoBoundary
+from artifact.ids import IdsConfig, ids_policy_on_grid
 from artifact.solver import (
     BeliefGrid,
     DiscountedProblem,
@@ -422,6 +425,125 @@ class TestPolicyExtraction:
         pol = PolicyTable(grid, rng.uniform(0, 1, grid.n_points))
         m = policy_transition(prob, pol)
         np.testing.assert_allclose(np.asarray(m.sum(axis=1)).ravel(), 1.0, atol=1e-12)
+
+
+class TestSolveKernel:
+    """Direct solves above the BiCGSTAB gate: (0.55, 0.7), gamma 0.99,
+    8001 nodes, the IDS(0.5) policy."""
+
+    @pytest.fixture(scope="class")
+    def case(self):
+        prob = DiscountedProblem(BanditSpec(0.55, 0.7), 0.99)
+        grid = BeliefGrid(8001)
+        pol = ids_policy_on_grid(prob, grid, IdsConfig(alpha=0.5, gamma=prob.gamma))
+        return prob, pol
+
+    @staticmethod
+    def lu_only(monkeypatch, fn):
+        with monkeypatch.context() as m:
+            m.setattr(solver, "_KRYLOV_MIN_NODES", math.inf)
+            return fn()
+
+    @staticmethod
+    def spy(monkeypatch, fake=None):
+        """Record every bicgstab call; `fake` maps the real result to the
+        one the solver sees."""
+        calls = []
+        real = spla.bicgstab
+
+        def recorded(A, b, **kwargs):
+            x, info = real(A, b, **kwargs)
+            if fake is not None:
+                x, info = fake(x, info)
+            calls.append({"A": A, "b": b, "x": x.copy(), "info": info, **kwargs})
+            return x, info
+
+        monkeypatch.setattr(spla, "bicgstab", recorded)
+        return calls
+
+    def test_gate_keeps_small_grids_on_lu(self, monkeypatch):
+        calls = self.spy(monkeypatch)
+        prob = DiscountedProblem(BanditSpec(0.55, 0.7), 0.99)
+        grid = BeliefGrid(2001)
+        _, pol, _ = policy_iteration(prob, grid)
+        policy_evaluation(prob, pol, method="direct")
+        assert calls == []
+
+    def test_value_within_certificate_of_lu(self, case, monkeypatch):
+        prob, pol = case
+        calls = self.spy(monkeypatch)
+        v = policy_evaluation(prob, pol, method="direct").values
+        (call,) = calls
+        assert call["info"] == 0
+        assert np.array_equal(v, call["x"])
+        cert = np.max(np.abs(call["b"] - call["A"] @ v)) / (1.0 - prob.gamma)
+        assert 0.0 < cert <= default_tolerance(prob.gamma)
+        lu = self.lu_only(monkeypatch, lambda: policy_evaluation(prob, pol, method="direct"))
+        lu_cert = np.max(np.abs(call["b"] - call["A"] @ lu.values)) / (1.0 - prob.gamma)
+        assert np.max(np.abs(v - lu.values)) <= cert + lu_cert
+
+    @pytest.mark.parametrize(
+        "fake",
+        [lambda x, info: (x, 1), lambda x, info: (x + 1e-3, 0), lambda x, info: (x + 1e-6, 0)],
+        ids=["not-converged", "perturbed", "just-outside-certificate"],
+    )
+    def test_rejected_iterate_falls_back_to_lu(self, case, monkeypatch, fake):
+        # a loose tol does not loosen acceptance below default_tolerance
+        prob, pol = case
+        lu = self.lu_only(monkeypatch, lambda: policy_evaluation(prob, pol, method="direct"))
+        calls = self.spy(monkeypatch, fake)
+        v = policy_evaluation(prob, pol, tol=1e-3, method="direct")
+        assert len(calls) == 1
+        assert np.array_equal(v.values, lu.values)
+
+    def test_certified_iterate_is_accepted(self, case, monkeypatch):
+        # the rows of M sum to 1, so a constant shift d moves the
+        # certificate by d; 1e-9 stays inside default_tolerance = 1e-7
+        prob, pol = case
+        calls = self.spy(monkeypatch, lambda x, info: (x + 1e-9, 0))
+        v = policy_evaluation(prob, pol, method="direct")
+        assert np.array_equal(v.values, calls[0]["x"])
+
+    def test_tol_never_enters_the_stopping_rule(self, case, monkeypatch):
+        prob, pol = case
+        calls = self.spy(monkeypatch)
+        loose = policy_evaluation(prob, pol, tol=1e-3, method="direct")
+        default = policy_evaluation(prob, pol, method="direct")
+        tight = policy_evaluation(prob, pol, tol=1e-9, method="direct")
+        assert np.array_equal(loose.values, default.values)
+        assert np.array_equal(tight.values, default.values)
+        assert len({c["rtol"] for c in calls}) == 1
+
+    def test_unreachable_tol_raises_after_lu_fallback(self, case):
+        prob, pol = case
+        with pytest.raises(IterationLimit) as info:
+            policy_evaluation(prob, pol, tol=1e-30, method="direct")
+        assert info.value.iterations == 1
+        assert "LU after BiCGSTAB" in str(info.value)
+        assert 0.0 < info.value.residual <= default_tolerance(prob.gamma)
+
+    def test_policy_iteration_matches_lu_rounds(self, case, monkeypatch):
+        prob, pol = case
+        grid = pol.grid
+        v_lu, pol_lu, k_lu = self.lu_only(monkeypatch, lambda: policy_iteration(prob, grid))
+        calls = self.spy(monkeypatch)
+        v, pol_k, k = policy_iteration(prob, grid)
+        assert k == k_lu and len(calls) == k
+        assert np.array_equal(pol_k.q, pol_lu.q)
+        assert calls[0]["x0"] is None
+        assert all(c["x0"] is not None for c in calls[1:])
+        assert certify_optimal(prob, v) <= default_tolerance(prob.gamma)
+        assert np.max(np.abs(v.values - v_lu.values)) <= default_tolerance(prob.gamma)
+
+    def test_policy_iteration_stays_on_lu_after_a_fallback(self, case, monkeypatch):
+        prob, pol = case
+        grid = pol.grid
+        v_lu, pol_lu, k_lu = self.lu_only(monkeypatch, lambda: policy_iteration(prob, grid))
+        calls = self.spy(monkeypatch, lambda x, info: (x, 1))
+        v, pol_k, k = policy_iteration(prob, grid)
+        assert k == k_lu > 1 and len(calls) == 1
+        assert np.array_equal(v.values, v_lu.values)
+        assert np.array_equal(pol_k.q, pol_lu.q)
 
 
 class TestReachableBeliefs:
