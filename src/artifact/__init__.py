@@ -27,6 +27,7 @@ from .bandit import (
     mutual_information,
     obs_prob,
     one_step_regret,
+    posterior,
     regret_gap,
     win_prob,
 )
@@ -152,6 +153,7 @@ __all__ = [
     "policy_evaluation",
     "policy_iteration",
     "policy_transition",
+    "posterior",
     "reachable_beliefs",
     "regret_bound",
     "regret_curve",

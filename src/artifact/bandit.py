@@ -6,8 +6,11 @@ when s = a and with probability 1 - theta_a otherwise, so each arm is the
 better one exactly in its namesake state.  Beliefs over the hidden state
 are a single number beta in [-1, 1] through b(s) = (1 + s*beta) / 2.
 
-Everything in this module is a pure scalar function (entropy also accepts
-arrays).  Vectorized grid machinery lives in the solver modules.
+The belief arithmetic lives here, for arrays: `posterior` is the one Bayes
+update (predictive probability and posterior belief) that the solver and
+the IDS modules run over whole grids, and `regret_gap` and `entropy` also
+accept arrays.  The remaining helpers are checked scalar functions;
+`obs_prob`, `expected_reward` and `belief_update` wrap `posterior`.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ __all__ = [
     "ActionDistribution",
     "Observation",
     "win_prob",
+    "posterior",
     "obs_prob",
     "expected_reward",
     "belief_update",
@@ -144,23 +148,33 @@ def win_prob(spec: BanditSpec, s: int, a: int) -> float:
     return th if s == a else 1.0 - th
 
 
-def obs_prob(spec: BanditSpec, beta: float, a: int, y: int) -> float:
-    """Predictive probability of outcome y under belief beta when playing a.
+def posterior(spec: BanditSpec, beliefs, a: int, y: int):
+    """Predictive probability and Bayes posterior of outcome y from arm a,
+    elementwise over an array of beliefs; returns (p, beta').
 
-    Marginalizing the state gives the closed form
-    p_b(y|a) = [1 + a*(2y-1)*beta*(2*theta_a-1)] / 2.
+    p = [1 + a*(2y-1)*beta*(2*theta_a-1)] / 2 and beta' = (beta +
+    a*(2y-1)*(2*theta_a-1)) / (2p), clamped to [-1, 1] to absorb last-bit
+    rounding.  Where p <= 0 the outcome is impossible and beta' = beta.
+    The beliefs are not range-checked.
     """
+    b = np.asarray(beliefs, dtype=float)
+    c, d = a * (2 * y - 1), spec.bias(a)
+    p = (1.0 + c * b * d) / 2.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        bp = np.where(p > 0.0, (b + c * d) / np.maximum(2.0 * p, 1e-300), b)
+    return p, np.clip(bp, -1.0, 1.0)
+
+
+def obs_prob(spec: BanditSpec, beta: float, a: int, y: int) -> float:
+    """Predictive probability of outcome y under belief beta when playing a."""
     _check_sign("a", a)
     y = _check_outcome(y)
-    beta = _check_beta(beta)
-    return (1.0 + a * (2 * y - 1) * beta * spec.bias(a)) / 2.0
+    return float(posterior(spec, _check_beta(beta), a, y)[0])
 
 
 def expected_reward(spec: BanditSpec, beta: float, a: int) -> float:
-    """Expected immediate reward of arm a under belief beta."""
-    _check_sign("a", a)
-    beta = _check_beta(beta)
-    return (1.0 + a * beta * spec.bias(a)) / 2.0
+    """Expected immediate reward of arm a under belief beta: p_b(1|a)."""
+    return obs_prob(spec, beta, a, 1)
 
 
 def belief_update(spec: BanditSpec, beta: float, a: int, y: int) -> float:
@@ -168,19 +182,17 @@ def belief_update(spec: BanditSpec, beta: float, a: int, y: int) -> float:
 
     Raises ZeroLikelihood when the observation has probability zero, which
     can only happen for deterministic arms (theta_a in {0, 1}) combined
-    with a contradicting certain belief.  The result is clamped to [-1, 1]
-    to absorb last-bit rounding.
+    with a contradicting certain belief.
     """
+    _check_sign("a", a)
     y = _check_outcome(y)
     beta = _check_beta(beta)
-    p = obs_prob(spec, beta, a, y)
+    p, bp = posterior(spec, beta, a, y)
     if p <= 0.0:
         raise ZeroLikelihood(
             f"observation y={y} from arm a={a} has probability zero at beta={beta}"
         )
-    d = spec.bias(a)
-    bp = (beta + a * (2 * y - 1) * d) / (2.0 * p)
-    return min(1.0, max(-1.0, bp))
+    return float(bp)
 
 
 def entropy(beta):
@@ -222,15 +234,24 @@ def mutual_information(spec: BanditSpec, beta: float, a: int) -> float:
     return out if out > 0.0 else 0.0
 
 
-def regret_gap(spec: BanditSpec, beta: float, a: int) -> float:
-    """Expected shortfall of arm a against the state-wise best arm."""
+def regret_gap(spec: BanditSpec, beta, a: int):
+    """Expected shortfall of arm a against the state-wise best arm, at a
+    scalar belief or elementwise over an array of beliefs."""
     _check_sign("a", a)
-    beta = _check_beta(beta)
-    out = 0.0
+    b = _check_beta(beta) if np.ndim(beta) == 0 else np.asarray(beta, dtype=float)
+    gap = 0.0
     for s in (-1, 1):
         best = max(win_prob(spec, s, -1), win_prob(spec, s, 1))
-        out += (1.0 + s * beta) / 2.0 * (best - win_prob(spec, s, a))
-    return out
+        gap = gap + (1.0 + s * b) / 2.0 * (best - win_prob(spec, s, a))
+    return gap
+
+
+def _check_q(dist):
+    """Probability of arm +1 from an ActionDistribution or a bare float."""
+    q = dist.q if isinstance(dist, ActionDistribution) else float(dist)
+    if not 0.0 <= q <= 1.0:
+        raise ValueError(f"q must lie in [0, 1], got {q}")
+    return q
 
 
 def one_step_regret(spec: BanditSpec, beta: float, dist) -> float:
@@ -239,8 +260,6 @@ def one_step_regret(spec: BanditSpec, beta: float, dist) -> float:
     `dist` is an ActionDistribution or the bare probability of arm +1.
     Affine in q by construction: (1-q)*gap(-1) + q*gap(+1).
     """
-    q = dist.q if isinstance(dist, ActionDistribution) else float(dist)
-    if not 0.0 <= q <= 1.0:
-        raise ValueError(f"q must lie in [0, 1], got {q}")
+    q = _check_q(dist)
     beta = _check_beta(beta)
     return (1.0 - q) * regret_gap(spec, beta, -1) + q * regret_gap(spec, beta, 1)

@@ -33,6 +33,7 @@ from .solver import (
     mdp_value,
     policy_evaluation,
     policy_iteration,
+    regret_curve,
 )
 
 __all__ = [
@@ -207,28 +208,25 @@ def _optimal_solve(prob, grid, tol):
     return v
 
 
-def _regret_nodes(prob, vf):
-    return mdp_value(prob, vf.grid.nodes) - vf.values
-
-
 def _ids_regret_nodes(prob, grid, alpha):
     policy = ids_policy_on_grid(prob, grid, IdsConfig(alpha=alpha, gamma=prob.gamma))
-    v = policy_evaluation(prob, policy, method="direct")
-    return _regret_nodes(prob, v)
+    return regret_curve(prob, policy_evaluation(prob, policy, method="direct")).values
 
 
-def _relative_gap(tm, tp, gamma, alpha, n, tol):
+def _max_relative_excess(r_ids, r_opt):
     """Max relative excess of the IDS regret over the optimal regret,
     taken over beliefs whose optimal regret clears the floor."""
-    prob = DiscountedProblem(BanditSpec(tm, tp), gamma)
-    grid = BeliefGrid(n)
-    r_opt = _regret_nodes(prob, _optimal_solve(prob, grid, tol))
-    r_ids = _ids_regret_nodes(prob, grid, alpha)
-    floor = max(1e-6, 1e-4 * float(np.max(r_opt)))
-    mask = r_opt > floor
+    mask = r_opt > max(1e-6, 1e-4 * float(np.max(r_opt)))
     if not np.any(mask):
         return 0.0
     return float(np.max((r_ids[mask] - r_opt[mask]) / r_opt[mask]))
+
+
+def _relative_gap(tm, tp, gamma, alpha, n, tol):
+    prob = DiscountedProblem(BanditSpec(tm, tp), gamma)
+    grid = BeliefGrid(n)
+    r_opt = regret_curve(prob, _optimal_solve(prob, grid, tol)).values
+    return _max_relative_excess(_ids_regret_nodes(prob, grid, alpha), r_opt)
 
 
 def _curve_cell(args):
@@ -237,7 +235,7 @@ def _curve_cell(args):
     prob = DiscountedProblem(BanditSpec(tm, theta), gamma)
     grid = BeliefGrid(n)
     try:
-        r = _regret_nodes(prob, _optimal_solve(prob, grid, tol))
+        r = regret_curve(prob, _optimal_solve(prob, grid, tol)).values
         metric = float(np.max(r)) if symmetric else float(r[(n - 1) // 2])
         return (theta, gamma, metric), None
     except BanditError as exc:
@@ -355,17 +353,10 @@ def optimal_alpha_search(
     prob = DiscountedProblem(BanditSpec(float(theta_minus), float(theta_plus)), float(gamma))
     gobj = BeliefGrid(int(grid))
     t0 = time.perf_counter()
-    r_opt = _regret_nodes(prob, _optimal_solve(prob, gobj, tol))
-    floor = max(1e-6, 1e-4 * float(np.max(r_opt)))
-    mask = r_opt > floor
+    r_opt = regret_curve(prob, _optimal_solve(prob, gobj, tol)).values
     for a in alpha_grid:
         try:
-            r_ids = _ids_regret_nodes(prob, gobj, float(a))
-            gap = (
-                float(np.max((r_ids[mask] - r_opt[mask]) / r_opt[mask]))
-                if np.any(mask)
-                else 0.0
-            )
+            gap = _max_relative_excess(_ids_regret_nodes(prob, gobj, float(a)), r_opt)
             result.rows.append((float(a), gap))
         except BanditError as exc:
             result.failures.append({"row": [float(a)], "error": repr(exc)})

@@ -26,8 +26,10 @@ from .bandit import (
     ActionDistribution,
     BanditSpec,
     _check_beta,
+    _check_q,
     entropy,
-    win_prob,
+    posterior,
+    regret_gap,
 )
 from .errors import DegenerateRatio
 from .solver import (
@@ -95,23 +97,14 @@ def ids_endpoints(spec: BanditSpec, gamma: float, beliefs):
     I_a = H(beta) - gamma * E[H(beta')] after one pull of arm a.
     """
     b = np.asarray(beliefs, dtype=float)
-    bm = (1.0 - b) / 2.0
-    bp = (1.0 + b) / 2.0
-    best = {s: max(win_prob(spec, s, -1), win_prob(spec, s, 1)) for s in (-1, 1)}
     h = entropy(b)
     ends = {}
     for a in (-1, 1):
-        delta = bm * (best[-1] - win_prob(spec, -1, a)) + bp * (best[1] - win_prob(spec, 1, a))
-        d = spec.bias(a)
         acc = np.zeros_like(b)
         for y in (0, 1):
-            c = a * (2 * y - 1)
-            p = (1.0 + c * b * d) / 2.0
-            with np.errstate(divide="ignore", invalid="ignore"):
-                bpost = np.where(p > 0.0, (b + c * d) / np.maximum(2.0 * p, 1e-300), b)
-            bpost = np.clip(bpost, -1.0, 1.0)
+            p, bpost = posterior(spec, b, a, y)
             acc += np.where(p > 0.0, p * entropy(bpost), 0.0)
-        ends[a] = delta, h - gamma * acc
+        ends[a] = regret_gap(spec, b, a), h - gamma * acc
     return ends[-1][0], ends[1][0], ends[-1][1], ends[1][1]
 
 
@@ -123,7 +116,7 @@ def information_function(spec: BanditSpec, beta: float, dist, gamma: float) -> f
     q and never below (1-gamma)*H(beta) because one observation cannot
     raise the expected posterior entropy.
     """
-    q = dist.q if isinstance(dist, ActionDistribution) else float(dist)
+    q = _check_q(dist)
     _, _, i0, i1 = ids_endpoints(spec, gamma, [_check_beta(beta)])
     return float((1.0 - q) * i0[0] + q * i1[0])
 
@@ -169,7 +162,10 @@ def info_ratio(delta: float, info: float, alpha: float) -> float:
 
 
 def _greedy_q(spec, b):
-    return np.where(1.0 + b * spec.bias_plus >= 1.0 - b * spec.bias_minus, 1.0, 0.0)
+    """Myopic arm per belief: +1 where its expected reward p_b(1|+1) is at
+    least that of arm -1."""
+    r = {a: posterior(spec, b, a, 1)[0] for a in (-1, 1)}
+    return np.where(r[1] >= r[-1], 1.0, 0.0)
 
 
 def _ids_q(d0, d1, i0, i1, alpha, greedy):

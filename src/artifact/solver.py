@@ -23,7 +23,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .bandit import BanditSpec, belief_update, obs_prob, win_prob
+from .bandit import BanditSpec, _check_beta, posterior, win_prob
 from .errors import IterationLimit, MultipleBoundaries, NoBoundary
 
 __all__ = [
@@ -148,26 +148,13 @@ class _Stencil:
     def __init__(self, prob: DiscountedProblem, grid: BeliefGrid):
         self.prob = prob
         self.grid = grid
-        nodes = grid.nodes
-        self.r = {}
-        self.p = {}
-        self.j = {}
-        self.t = {}
+        self.p, self.j, self.t = {}, {}, {}
         for a in (-1, 1):
-            d = prob.spec.bias(a)
-            self.r[a] = (1.0 + a * nodes * d) / 2.0
             for y in (0, 1):
-                c = a * (2 * y - 1)
-                p = (1.0 + c * nodes * d) / 2.0
-                with np.errstate(divide="ignore", invalid="ignore"):
-                    bp = np.where(
-                        p > 0.0, (nodes + c * d) / np.maximum(2.0 * p, 1e-300), nodes
-                    )
-                bp = np.clip(bp, -1.0, 1.0)
-                j, t = grid.locate(bp)
-                self.p[(a, y)] = p
-                self.j[(a, y)] = j
-                self.t[(a, y)] = t
+                self.p[(a, y)], bp = posterior(prob.spec, grid.nodes, a, y)
+                self.j[(a, y)], self.t[(a, y)] = grid.locate(bp)
+        # the expected reward of arm a is its predictive probability of y = 1
+        self.r = {a: self.p[(a, 1)] for a in (-1, 1)}
 
     def interp(self, v, a, y):
         j, t = self.j[(a, y)], self.t[(a, y)]
@@ -324,15 +311,16 @@ def bellman_apply(prob: DiscountedProblem, value, beta: float) -> float:
     beliefs, with no grid in between, which is what closed-form
     fixed-point checks need.
     """
+    beta = _check_beta(beta)
     best = -math.inf
     for a in (-1, 1):
-        r = (1.0 + a * beta * prob.spec.bias(a)) / 2.0
         cont = 0.0
         for y in (0, 1):
-            p = obs_prob(prob.spec, beta, a, y)
+            p, bp = (float(x) for x in posterior(prob.spec, beta, a, y))
             if p > 0.0:
-                cont += p * float(value(belief_update(prob.spec, beta, a, y)))
-        best = max(best, r + prob.gamma * cont)
+                cont += p * float(value(bp))
+        # p is now p_b(1|a), the expected reward of arm a
+        best = max(best, p + prob.gamma * cont)
     return best
 
 
@@ -565,18 +553,16 @@ def reachable_beliefs(spec: BanditSpec, beta0: float, depth: int) -> np.ndarray:
     """
     if depth < 0:
         raise ValueError("depth must be nonnegative")
-    vals = [float(beta0)]
-    frontier = [float(beta0)]
+    vals = [_check_beta(beta0)]
+    frontier = vals[:]
     for _ in range(depth):
+        ups = [posterior(spec, frontier, a, y) for a in (-1, 1) for y in (0, 1)]
         nxt = []
-        for b in frontier:
-            for a in (-1, 1):
-                for y in (0, 1):
-                    if obs_prob(spec, b, a, y) <= 0.0:
-                        continue
-                    bp = belief_update(spec, b, a, y)
-                    if all(abs(bp - v) > 1e-12 for v in vals):
-                        vals.append(bp)
-                        nxt.append(bp)
+        for i in range(len(frontier)):
+            for p, bp in ups:
+                b = float(bp[i])
+                if p[i] > 0.0 and all(abs(b - v) > 1e-12 for v in vals):
+                    vals.append(b)
+                    nxt.append(b)
         frontier = nxt
     return np.array(sorted(vals))

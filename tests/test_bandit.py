@@ -20,10 +20,12 @@ from artifact.bandit import (
     mutual_information,
     obs_prob,
     one_step_regret,
+    posterior,
     regret_gap,
     win_prob,
 )
 from artifact.errors import ZeroLikelihood
+from artifact.solver import DiscountedProblem, bellman_apply
 
 specs = st.builds(
     BanditSpec,
@@ -33,6 +35,12 @@ specs = st.builds(
 betas = st.floats(-1.0, 1.0, allow_nan=False)
 actions = st.sampled_from([-1, 1])
 outcomes = st.sampled_from([0, 1])
+# degenerate arms (deterministic or fair) and certain beliefs, mixed with the rest
+edge_thetas = st.sampled_from([0.0, 0.5, 1.0]) | st.floats(0.0, 1.0, allow_nan=False)
+edge_specs = st.builds(BanditSpec, edge_thetas, edge_thetas)
+belief_arrays = st.lists(
+    st.sampled_from([-1.0, 0.0, 1.0]) | betas, min_size=1, max_size=12
+).map(lambda xs: np.array([-1.0, 1.0] + xs))
 
 
 class TestDataTypes:
@@ -289,3 +297,68 @@ class TestOneStepRegret:
         assert one_step_regret(s, 0.0, ActionDistribution(0.0)) == one_step_regret(
             s, 0.0, 0.0
         )
+
+
+def _bits(x):
+    return np.asarray(x, dtype=float).tobytes()
+
+
+class TestPosterior:
+    @given(edge_specs, belief_arrays, actions, outcomes)
+    @settings(max_examples=200)
+    def test_matches_closed_form_bitwise(self, spec, b, a, y):
+        c, d = a * (2 * y - 1), 2.0 * spec.theta(a) - 1.0
+        want_p, want_post = [], []
+        for beta in b.tolist():
+            p = (1.0 + c * beta * d) / 2.0
+            want_p.append(p)
+            want_post.append(
+                min(1.0, max(-1.0, (beta + c * d) / (2.0 * p))) if p > 0.0 else beta
+            )
+        p, post = posterior(spec, b, a, y)
+        assert _bits(p) == _bits(want_p)
+        assert _bits(post) == _bits(want_post)
+
+    @given(edge_specs, belief_arrays, actions)
+    @settings(max_examples=200)
+    def test_outcome_probabilities_sum_to_one(self, spec, b, a):
+        p0, _ = posterior(spec, b, a, 0)
+        p1, _ = posterior(spec, b, a, 1)
+        np.testing.assert_allclose(p0 + p1, 1.0, rtol=0.0, atol=1e-15)
+
+    @given(edge_specs, belief_arrays, actions)
+    @settings(max_examples=200)
+    def test_martingale(self, spec, b, a):
+        """sum_y p_b(y|a) beta'(y) = beta at every belief of the array."""
+        mean = sum(p * post for p, post in (posterior(spec, b, a, y) for y in (0, 1)))
+        np.testing.assert_allclose(mean, b, rtol=0.0, atol=1e-12)
+
+    @given(edge_specs, belief_arrays, actions, outcomes)
+    def test_impossible_outcome_keeps_belief(self, spec, b, a, y):
+        p, post = posterior(spec, b, a, y)
+        assert np.all(post[p <= 0.0] == b[p <= 0.0])
+
+    def test_zero_over_zero_keeps_belief(self):
+        # deterministic arm +1 at certainty of s = -1: (beta + d) / (2p) is 0/0
+        p, post = posterior(BanditSpec(1.0, 1.0), np.array([-1.0, 0.0, 1.0]), 1, 1)
+        assert p.tolist() == [0.0, 0.5, 1.0]
+        assert post.tolist() == [-1.0, 1.0, 1.0]
+
+    @given(edge_specs, belief_arrays, actions, outcomes)
+    @settings(max_examples=100)
+    def test_scalar_wrappers_match_array_entries(self, spec, b, a, y):
+        p, post = posterior(spec, b, a, y)
+        gaps = regret_gap(spec, b, a)
+        for i, beta in enumerate(b.tolist()):
+            assert _bits(obs_prob(spec, beta, a, y)) == _bits(p[i])
+            assert _bits(regret_gap(spec, beta, a)) == _bits(gaps[i])
+            if p[i] > 0.0:
+                assert _bits(belief_update(spec, beta, a, y)) == _bits(post[i])
+            else:
+                with pytest.raises(ZeroLikelihood):
+                    belief_update(spec, beta, a, y)
+
+    def test_bellman_apply_rejects_out_of_range_belief(self):
+        prob = DiscountedProblem(BanditSpec(0.55, 0.7), 0.9)
+        with pytest.raises(ValueError):
+            bellman_apply(prob, lambda b: 0.0, 1.5)

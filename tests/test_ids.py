@@ -115,6 +115,12 @@ class TestInformationFunction:
             got = information_function(spec, beta, q, gamma)
             assert got >= (1 - gamma) * entropy(beta) - 1e-12
 
+    def test_rejects_mixture_outside_unit_interval(self):
+        spec = BanditSpec(0.55, 0.7)
+        for q in (1.5, -0.5):
+            with pytest.raises(ValueError, match="q must lie in"):
+                information_function(spec, 0.0, q, 0.9)
+
 
 class TestInfoRatio:
     def test_half_exponent_example(self):

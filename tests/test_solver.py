@@ -570,3 +570,7 @@ class TestReachableBeliefs:
         d2 = set(np.round(reachable_beliefs(spec, 0.0, 2), 9))
         d3 = set(np.round(reachable_beliefs(spec, 0.0, 3), 9))
         assert d2 <= d3
+
+    def test_rejects_out_of_range_start_at_depth_zero(self):
+        with pytest.raises(ValueError):
+            reachable_beliefs(BanditSpec(0.55, 0.7), 1.5, 0)
