@@ -38,9 +38,8 @@ from .errors import BanditError, InvalidManifest
 from .experiments import SweepManifest, run_manifest
 from .ids import (
     IdsConfig,
-    ids_endpoints,
     ids_policy_on_grid,
-    ratio,
+    ratio_table,
     regret_bound,
     scaled_log_sup_ratio,
     sup_info_ratio,
@@ -117,17 +116,14 @@ def _outdir(args):
 
 
 def _series(vf):
-    return {
-        "beta": [float(b) for b in vf.grid.nodes],
-        "values": [float(v) for v in vf.values],
-    }
+    return {"beta": vf.grid.nodes.tolist(), "values": vf.values.tolist()}
 
 
 def _write_solution(args, out, stem, summary, v, regret, policy):
     """`<stem>solution.json`, or `<stem>summary.json` and three CSVs."""
     base = os.path.join(out, stem)
     if args.format == "json":
-        q = {"beta": _series(v)["beta"], "q": [float(x) for x in policy.q]}
+        q = {"beta": policy.grid.nodes.tolist(), "q": policy.q.tolist()}
         doc = dict(summary, value=_series(v), regret=_series(regret), policy=q)
         artio.write_json_doc(base + "solution.json", doc)
         return
@@ -173,10 +169,6 @@ def cmd_ids(args) -> int:
     regret = regret_curve(prob, v)
     psi = sup_info_ratio(prob, policy, args.alpha)
     bound, holds = regret_bound(prob, policy, args.alpha, 0.0, value=v)
-    d0, d1, i0, i1 = ids_endpoints(prob.spec, prob.gamma, grid.nodes)
-    q = policy.q
-    r = ratio((1 - q) * d0 + q * d1, (1 - q) * i0 + q * i1, args.alpha)
-    ratio_rows = zip(grid.nodes, d0, d1, i0, i1, q, r)
     summary = {
         "theta_minus": prob.spec.theta_minus,
         "theta_plus": prob.spec.theta_plus,
@@ -193,7 +185,9 @@ def cmd_ids(args) -> int:
         "bound_holds": holds,
     }
     if args.format == "csv":
-        artio.write_ratio_csv(os.path.join(out, "ids_ratios.csv"), ratio_rows)
+        artio.write_ratio_csv(
+            os.path.join(out, "ids_ratios.csv"), ratio_table(prob, policy, args.alpha)
+        )
     _write_solution(args, out, "ids_", summary, v, regret, policy)
     verdict = "holds" if holds else "VIOLATED"
     print(
@@ -219,7 +213,6 @@ def cmd_compare(args) -> int:
     v, policy, _ = policy_iteration(prob, grid)
     certify_optimal(prob, v, args.tol)
 
-    rows = []
     if symmetric:
         pts = reachable_beliefs(spec, 0.0, 6)
         ana = np.array([symmetric_value(spec.theta_plus, prob.gamma, b) for b in pts])
@@ -234,12 +227,10 @@ def cmd_compare(args) -> int:
         verdict_scope = "decision boundary against the closed-form approximation"
     abs_dev = np.abs(num - ana)
     rel_dev = abs_dev / np.maximum(np.abs(num), 1e-300)
-    for b, nu, an, ad, rd in zip(pts, num, ana, abs_dev, rel_dev):
-        rows.append((b, nu, an, ad, rd))
     artio.write_rows_csv(
         os.path.join(out, "compare.csv"),
         ["beta", "numeric", "analytic", "abs_dev", "rel_dev"],
-        rows,
+        zip(pts, num, ana, abs_dev, rel_dev),
     )
 
     if symmetric:

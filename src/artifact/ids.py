@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -52,6 +53,7 @@ __all__ = [
     "ids_endpoints",
     "ids_action_dist",
     "ids_policy_on_grid",
+    "ratio_table",
     "sup_info_ratio",
     "scaled_log_sup_ratio",
     "regret_bound",
@@ -106,6 +108,17 @@ def ids_endpoints(spec: BanditSpec, gamma: float, beliefs):
             acc += np.where(p > 0.0, p * entropy(bpost), 0.0)
         ends[a] = regret_gap(spec, b, a), h - gamma * acc
     return ends[-1][0], ends[1][0], ends[-1][1], ends[1][1]
+
+
+@lru_cache(maxsize=1)
+def _grid_endpoints(spec, gamma, grid):
+    """ids_endpoints at the nodes of `grid`, read-only.  The selection, the
+    sup ratio and the regret bound of one policy read the same arrays, so
+    the last (spec, gamma, grid) is kept."""
+    ends = ids_endpoints(spec, gamma, grid.nodes)
+    for e in ends:
+        e.flags.writeable = False
+    return ends
 
 
 def information_function(spec: BanditSpec, beta: float, dist, gamma: float) -> float:
@@ -193,12 +206,11 @@ def _ids_q(d0, d1, i0, i1, alpha, greedy):
     return np.choose(np.argmax(near, axis=0), cands)
 
 
-def _ids_policy_q(spec, config, beliefs):
-    """IDS mixture at each belief, with the arm endpoints it was chosen from."""
-    ends = ids_endpoints(spec, config.gamma, beliefs)
+def _ids_policy_q(spec, config, beliefs, ends):
+    """IDS mixture at each belief, chosen from the arm endpoints `ends`."""
     greedy = _greedy_q(spec, beliefs)
     guard = np.maximum(ends[2], ends[3]) < config.info_floor
-    return np.where(guard, greedy, _ids_q(*ends, config.alpha, greedy)), ends
+    return np.where(guard, greedy, _ids_q(*ends, config.alpha, greedy))
 
 
 def ids_action_dist(spec: BanditSpec, beta: float, config: IdsConfig) -> RatioEvaluation:
@@ -208,8 +220,9 @@ def ids_action_dist(spec: BanditSpec, beta: float, config: IdsConfig) -> RatioEv
     return the same q at a grid node.  Ties and near-ties resolve toward
     the greedy arm, which keeps the gamma -> 0 limit exact.
     """
-    q, (d0, d1, i0, i1) = _ids_policy_q(spec, config, np.array([_check_beta(beta)]))
-    q = float(q[0])
+    b = np.array([_check_beta(beta)])
+    d0, d1, i0, i1 = ends = ids_endpoints(spec, config.gamma, b)
+    q = float(_ids_policy_q(spec, config, b, ends)[0])
     d = float((1.0 - q) * d0[0] + q * d1[0])
     i = float((1.0 - q) * i0[0] + q * i1[0])
     return RatioEvaluation(d, i, float(ratio(d, i, config.alpha)), ActionDistribution(q))
@@ -227,8 +240,24 @@ def ids_policy_on_grid(
         raise ValueError(
             f"config.gamma={config.gamma} disagrees with prob.gamma={prob.gamma}"
         )
-    q, _ = _ids_policy_q(prob.spec, config, grid.nodes)
-    return _policy_from_q(grid, q)
+    ends = _grid_endpoints(prob.spec, prob.gamma, grid)
+    return _policy_from_q(grid, _ids_policy_q(prob.spec, config, grid.nodes, ends))
+
+
+def _policy_mixture(prob, policy):
+    """Arm endpoints at the policy's nodes, and the policy's mixed regret
+    and information there."""
+    ends = d0, d1, i0, i1 = _grid_endpoints(prob.spec, prob.gamma, policy.grid)
+    q = policy.q
+    return ends, (1.0 - q) * d0 + q * d1, (1.0 - q) * i0 + q * i1
+
+
+def ratio_table(prob: DiscountedProblem, policy: PolicyTable, alpha: float):
+    """Columns (beta, Delta_-, Delta_+, I_-, I_+, q, ratio) at the policy's
+    grid nodes: the arm endpoints, the policy's mixture and its IDS(alpha)
+    objective."""
+    ends, d, i = _policy_mixture(prob, policy)
+    return (policy.grid.nodes, *ends, policy.q, ratio(d, i, alpha))
 
 
 def scaled_log_sup_ratio(
@@ -241,10 +270,7 @@ def scaled_log_sup_ratio(
     finite wherever the pointwise ratios are, at every alpha."""
     if not 0.0 <= alpha <= 1.0:
         raise ValueError(f"alpha must lie in [0, 1], got {alpha}")
-    d0, d1, i0, i1 = ids_endpoints(prob.spec, prob.gamma, policy.grid.nodes)
-    q = policy.q
-    d = (1.0 - q) * d0 + q * d1
-    i = (1.0 - q) * i0 + q * i1
+    _, d, i = _policy_mixture(prob, policy)
     skip = (i < info_floor) & (d < info_floor)
     return float(np.max(np.where(skip, -np.inf, _scaled_log_ratio(d, i, alpha))))
 

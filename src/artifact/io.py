@@ -33,29 +33,48 @@ def fmt(x) -> str:
     return format(float(x), _DIGITS)
 
 
+# Rows per %-format call: big enough to amortise the call, small enough
+# that the block's text stays a fraction of the table's memory.
+_BLOCK_ROWS = 1024
+
+
+def _write_table(path, header, table):
+    """Write the header line, then one line per row of the 2-D float array
+    `table`, each cell formatted like fmt, newline-pinned.
+
+    Rows are formatted a block at a time by one %-format call; "%.12g" and
+    format(x, ".12g") share CPython's float-to-string routine, so every
+    cell, inf, nan and -0 included, reads as fmt writes it.
+    """
+    line = ",".join(["%" + _DIGITS] * len(header)) + "\n"
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(header) + "\n")
+        for start in range(0, len(table), _BLOCK_ROWS):
+            block = table[start : start + _BLOCK_ROWS]
+            fh.write((line * len(block)) % tuple(block.ravel().tolist()))
+
+
 def write_rows_csv(path, header, rows):
     """Write a header plus rows of numbers, formatted and newline-pinned."""
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(header)
-        for row in rows:
-            w.writerow([fmt(x) for x in row])
+    table = np.array(list(rows), dtype=float)
+    _write_table(path, header, table.reshape(len(table), len(header)))
 
 
 def write_value_csv(path, vf: ValueFunction):
-    write_rows_csv(path, ["beta", "value"], zip(vf.grid.nodes, vf.values))
+    _write_table(path, ["beta", "value"], np.column_stack((vf.grid.nodes, vf.values)))
 
 
 def write_policy_csv(path, pt: PolicyTable):
-    write_rows_csv(path, ["beta", "q"], zip(pt.grid.nodes, pt.q))
+    _write_table(path, ["beta", "q"], np.column_stack((pt.grid.nodes, pt.q)))
 
 
-def write_ratio_csv(path, rows):
-    """Rows of (beta, delta0, delta1, info0, info1, q_star, ratio)."""
-    write_rows_csv(
+def write_ratio_csv(path, columns):
+    """Columns (beta, delta0, delta1, info0, info1, q_star, ratio), one
+    array each."""
+    _write_table(
         path,
         ["beta", "delta0", "delta1", "info0", "info1", "q_star", "ratio"],
-        rows,
+        np.column_stack(columns),
     )
 
 

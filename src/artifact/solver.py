@@ -204,9 +204,11 @@ class _Stencil:
                 cols += [j, j + 1]
                 data += [wp * (1.0 - t), wp * t]
         rows = np.tile(np.arange(n), len(cols))
-        M = sp.csr_matrix(
-            (np.concatenate(data), (rows, np.concatenate(cols))), shape=(n, n)
-        )
+        data, cols = np.concatenate(data), np.concatenate(cols)
+        M = sp.csr_matrix((data, (rows, cols)), shape=(n, n))
+        # the COO input goes before A is assembled: large-grid evaluation
+        # peaks in memory here
+        del rows, cols, data
         return sp.identity(n, format="csr") - self.prob.gamma * M, M
 
 

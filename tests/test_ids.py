@@ -16,6 +16,7 @@ from artifact.bandit import (
     mutual_information,
     one_step_regret,
 )
+from artifact import ids as ids_module
 from artifact.errors import DegenerateRatio
 from artifact.ids import (
     DEFAULT_INFO_FLOOR,
@@ -26,7 +27,10 @@ from artifact.ids import (
     ids_policy_on_grid,
     info_ratio,
     information_function,
+    ratio,
+    ratio_table,
     regret_bound,
+    scaled_log_sup_ratio,
     sup_info_ratio,
 )
 from artifact.solver import (
@@ -397,3 +401,47 @@ class TestEntropyReductionCost:
         pol = ids_policy_on_grid(prob, grid, IdsConfig(alpha=1.0, gamma=0.9))
         g = entropy_reduction_cost(prob, pol)
         assert np.all(g[1:-1] > 0.0)
+
+
+class TestRatioTable:
+    def test_columns_are_endpoints_mixture_and_objective(self):
+        prob = DiscountedProblem(BanditSpec(0.55, 0.7), 0.99)
+        grid = BeliefGrid(401)
+        pol = ids_policy_on_grid(prob, grid, IdsConfig(alpha=0.5, gamma=0.99))
+        beta, d0, d1, i0, i1, q, r = ratio_table(prob, pol, 0.5)
+        ends = ids_endpoints(prob.spec, prob.gamma, grid.nodes)
+        for got, want in zip((beta, d0, d1, i0, i1, q), (grid.nodes, *ends, pol.q)):
+            np.testing.assert_array_equal(got, want)
+        want_r = ratio((1 - q) * ends[0] + q * ends[1], (1 - q) * ends[2] + q * ends[3], 0.5)
+        np.testing.assert_array_equal(r, want_r)
+
+    def test_one_policy_computes_its_endpoints_once(self, monkeypatch):
+        calls = []
+        real = ids_module.ids_endpoints
+
+        def counting(spec, gamma, beliefs):
+            calls.append(len(beliefs))
+            return real(spec, gamma, beliefs)
+
+        monkeypatch.setattr(ids_module, "ids_endpoints", counting)
+        ids_module._grid_endpoints.cache_clear()
+        prob = DiscountedProblem(BanditSpec(0.55, 0.7), 0.99)
+        grid = BeliefGrid(201)
+        pol = ids_policy_on_grid(prob, grid, IdsConfig(alpha=0.5, gamma=0.99))
+        v = policy_evaluation(prob, pol, method="direct")
+        sup_info_ratio(prob, pol, 0.5)
+        scaled_log_sup_ratio(prob, pol, 0.5)
+        regret_bound(prob, pol, 0.5, 0.0, value=v)
+        ratio_table(prob, pol, 0.5)
+        assert calls == [201]
+        ids_policy_on_grid(
+            DiscountedProblem(BanditSpec(0.55, 0.7), 0.9), grid, IdsConfig(alpha=0.5, gamma=0.9)
+        )
+        assert calls == [201, 201]
+
+    def test_shared_endpoints_are_read_only(self):
+        prob = DiscountedProblem(BanditSpec(0.55, 0.7), 0.99)
+        pol = ids_policy_on_grid(prob, BeliefGrid(101), IdsConfig(alpha=0.5, gamma=0.99))
+        d0 = ratio_table(prob, pol, 0.5)[1]
+        with pytest.raises(ValueError):
+            d0[0] = 1.0
