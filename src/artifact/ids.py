@@ -38,10 +38,10 @@ from .solver import (
     DiscountedProblem,
     PolicyTable,
     ValueFunction,
+    _Stencil,
     _policy_from_q,
     mdp_value,
     policy_evaluation,
-    policy_transition,
 )
 
 __all__ = [
@@ -339,5 +339,4 @@ def entropy_reduction_cost(prob: DiscountedProblem, policy: PolicyTable) -> np.n
     near the endpoints, where interpolating the entropy is worst.
     """
     h = entropy(policy.grid.nodes)
-    m = policy_transition(prob, policy)
-    return h - prob.gamma * (m @ h)
+    return _Stencil(prob, policy.grid).policy_system(policy.q) @ h

@@ -11,6 +11,11 @@ sparse LU on smaller grids and as the fallback), a generic
 discounted-cost evaluator, the full-information reference value, regret
 curves, greedy policy extraction with boundary reporting, and
 enumeration of reachable beliefs.
+
+BiCGSTAB and the certificates apply the policy system as a numpy
+stencil product.  scipy.sparse is imported only where a sparse matrix is
+assembled, for an LU solve or by policy_transition, so a run whose
+solves all converge under BiCGSTAB never loads scipy.
 """
 
 from __future__ import annotations
@@ -20,8 +25,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .bandit import BanditSpec, _check_beta, posterior, win_prob
 from .errors import IterationLimit, MultipleBoundaries, NoBoundary
@@ -194,22 +197,57 @@ class _Stencil:
     def policy_reward(self, qdist):
         return (1.0 - qdist) * self.r[-1] + qdist * self.r[1]
 
+    @cached_property
+    def cols(self):
+        """Column of every stencil entry, shape (8, n): the lower and the
+        upper interpolation node of each (action, outcome) update."""
+        return np.stack([
+            jj for a in (-1, 1) for y in (0, 1)
+            for jj in (self.j[(a, y)], self.j[(a, y)] + 1)
+        ])
+
     def policy_system(self, qdist):
-        """Sparse CSR A = I - gamma*M and the policy transition M."""
-        n = self.grid.n_points
-        cols, data = [], []
+        """The policy system I - gamma*M of a per-node mixing weight."""
+        data = []
         for a, w in ((-1, 1.0 - qdist), (1, qdist)):
             for y in (0, 1):
-                wp, j, t = w * self.p[(a, y)], self.j[(a, y)], self.t[(a, y)]
-                cols += [j, j + 1]
+                wp, t = w * self.p[(a, y)], self.t[(a, y)]
                 data += [wp * (1.0 - t), wp * t]
-        rows = np.tile(np.arange(n), len(cols))
-        data, cols = np.concatenate(data), np.concatenate(cols)
-        M = sp.csr_matrix((data, (rows, cols)), shape=(n, n))
-        # the COO input goes before A is assembled: large-grid evaluation
-        # peaks in memory here
-        del rows, cols, data
-        return sp.identity(n, format="csr") - self.prob.gamma * M, M
+        return _PolicySystem(self.cols, np.stack(data), self.prob.gamma)
+
+
+class _PolicySystem:
+    """I - gamma*M for one policy, held as its stencil: row i of M has
+    weight data[k, i] in column cols[k, i].  Products need numpy alone;
+    scipy is imported only to assemble M as a sparse matrix."""
+
+    def __init__(self, cols, data, gamma):
+        self.cols, self.data, self.gamma = cols, data, gamma
+
+    def __matmul__(self, v):
+        return v - self.gamma * np.einsum("ij,ij->j", self.data, v[self.cols])
+
+    def transition(self):
+        """M as a CSR matrix, assembled from (row, col, weight) triplets
+        in stencil order, as LU results on small grids rest on."""
+        import scipy.sparse as sp
+
+        n = self.cols.shape[1]
+        rows = np.tile(np.arange(n), len(self.cols))
+        return sp.csr_matrix(
+            (self.data.ravel(), (rows, self.cols.ravel())), shape=(n, n)
+        )
+
+    def lu_solve(self, b):
+        """Direct solve by sparse LU."""
+        import scipy.sparse as sp
+        import scipy.sparse.linalg as spla
+
+        M = self.transition()
+        A = sp.identity(M.shape[0], format="csr") - self.gamma * M
+        # spsolve factors a CSR matrix as its transpose, which rounds
+        # differently from the CSC factorisation small-grid outputs rest on
+        return spla.spsolve(A.tocsc(), b)
 
 
 def default_tolerance(gamma: float) -> float:
@@ -259,13 +297,69 @@ def _sweep(step, n, gamma, tol, max_sweeps, what):
 
 
 # LU fill outgrows the grid: on the IDS(0.5) policy of (0.55, 0.7), gamma
-# 0.99, one CPU, LU takes 52 ms at N 4001 and 1.07 s at N 20001, BiCGSTAB
-# 12 and 28 ms.  Its stopping rule never reads the caller's tol.  The cap
-# sits above the 60-160 iterations of informative specs and bounds an
-# attempt near a fair coin, where BiCGSTAB needs 500 or more.
+# 0.99, one CPU, LU takes 65 ms at N 4001 and 1.59 s at N 20001, and
+# BiCGSTAB on the numpy stencil product 24 and 116 ms.  scipy's bicgstab
+# on a CSR matrix takes 12 and 55 ms but first costs about 0.2 s to load
+# scipy.sparse.linalg.  The stopping rule never reads the caller's tol.
+# The cap sits above the 60-160 iterations of informative specs and
+# bounds an attempt near a fair coin, where BiCGSTAB needs 500 or more.
 _KRYLOV_MIN_NODES = 4001
 _KRYLOV_RTOL = 1e-13
 _KRYLOV_MAXITER = 200
+
+
+def _bicgstab(A, b, x0=None, *, rtol, maxiter):
+    """Unpreconditioned BiCGSTAB for A x = b, step for step as
+    scipy.sparse.linalg.bicgstab runs it with atol=0 (van der Vorst 1992);
+    A needs only `A @ x`.
+
+    Stops when ||b - A x||_2 < rtol*||b||_2.  Returns (x, info,
+    iterations): info is 0 on convergence, maxiter when the iterations
+    ran out, and -10 or -11 on a rho or omega breakdown; iterations
+    counts the completed iterations, not a last half step.
+    """
+    bnrm2 = np.linalg.norm(b)
+    if bnrm2 == 0.0:
+        return np.zeros_like(b), 0, 0
+    atol = rtol * bnrm2
+    # eps**2 for both breakdown tests, as in scipy and its Fortran source
+    breakdown = np.finfo(float).eps ** 2
+    x = np.zeros_like(b) if x0 is None else np.array(x0, dtype=float)
+    r = b - A @ x if x.any() else b.copy()
+    rtilde = r.copy()
+    rho_prev = omega = alpha = p = v = None
+    for k in range(maxiter):
+        if np.linalg.norm(r) < atol:
+            return x, 0, k
+        rho = np.dot(rtilde, r)
+        if abs(rho) < breakdown:
+            return x, -10, k
+        if k > 0:
+            if abs(omega) < breakdown:
+                return x, -11, k
+            beta = (rho / rho_prev) * (alpha / omega)
+            p -= omega * v
+            p *= beta
+            p += r
+        else:
+            p = r.copy()
+        v = A @ p
+        rv = np.dot(rtilde, v)
+        if rv == 0:
+            return x, -11, k
+        alpha = rho / rv
+        r -= alpha * v
+        if np.linalg.norm(r) < atol:
+            x += alpha * p
+            return x, 0, k
+        # r is scipy's s here: the residual after the half step
+        t = A @ r
+        omega = np.dot(t, r) / np.dot(t, t)
+        x += alpha * p
+        x += omega * r
+        r -= omega * t
+        rho_prev = rho
+    return x, maxiter, maxiter
 
 
 def _solve_policy(st, q, per_node, tol, x0=None, krylov=True):
@@ -278,7 +372,7 @@ def _solve_policy(st, q, per_node, tol, x0=None, krylov=True):
     default_tolerance(gamma)); otherwise LU solves the system, counted as
     one iteration.
     """
-    A, _ = st.policy_system(q)
+    A = st.policy_system(q)
     gamma = st.prob.gamma
 
     def certificate(v):
@@ -286,17 +380,14 @@ def _solve_policy(st, q, per_node, tol, x0=None, krylov=True):
 
     method = "LU"
     if krylov and st.grid.n_points >= _KRYLOV_MIN_NODES:
-        steps = []
-        v, info = spla.bicgstab(A, per_node, x0=x0, rtol=_KRYLOV_RTOL, atol=0.0,
-                                maxiter=_KRYLOV_MAXITER, callback=steps.append)
+        v, info, iterations = _bicgstab(A, per_node, x0=x0, rtol=_KRYLOV_RTOL,
+                                        maxiter=_KRYLOV_MAXITER)
         if info == 0:
             cert = certificate(v)
             if cert <= min(tol, default_tolerance(gamma)):
-                return v, cert, len(steps), "BiCGSTAB"
+                return v, cert, iterations, "BiCGSTAB"
         method = "LU after BiCGSTAB"
-    # spsolve factors a CSR matrix as its transpose, which rounds
-    # differently from the CSC factorisation small-grid outputs rest on
-    v = spla.spsolve(A.tocsc(), per_node)
+    v = A.lu_solve(per_node)
     return v, certificate(v), 1, method
 
 
@@ -484,9 +575,7 @@ def certify_optimal(
 def policy_transition(prob: DiscountedProblem, policy: PolicyTable):
     """Row-stochastic sparse transition matrix of the belief chain under
     the policy, with interpolation weights as sub-transitions."""
-    st = _Stencil(prob, policy.grid)
-    _, M = st.policy_system(policy.q)
-    return M
+    return _Stencil(prob, policy.grid).policy_system(policy.q).transition()
 
 
 def mdp_value(prob: DiscountedProblem, beta):

@@ -220,6 +220,49 @@ class TestEntropy:
         assert h == pytest.approx(entropy(-beta), abs=1e-12)
 
 
+class TestEntropyMatchesXlogy:
+    """entropy takes its logs from libm, as scipy's xlogy does, and must
+    agree with -xlogy(b-, b-) - xlogy(b+, b+) + 0 bit for bit."""
+
+    @staticmethod
+    def reference(beta):
+        from scipy.special import xlogy
+
+        b = np.asarray(beta, dtype=float)
+        bm, bp = (1.0 - b) / 2.0, (1.0 + b) / 2.0
+        return -xlogy(bm, bm) - xlogy(bp, bp) + 0.0
+
+    def check(self, beta):
+        want = self.reference(beta)
+        with np.errstate(all="raise"):
+            got = entropy(beta)
+        nan = np.isnan(want)
+        assert np.array_equal(np.isnan(got), nan)
+        assert np.array_equal(got[~nan].view(np.uint64), want[~nan].view(np.uint64))
+        return got
+
+    def test_fine_grid_nodes_and_posteriors(self):
+        spec = BanditSpec(0.55, 0.7)
+        nodes = np.linspace(-1.0, 1.0, 20001)
+        self.check(nodes)
+        for a in (-1, 1):
+            for y in (0, 1):
+                self.check(posterior(spec, nodes, a, y)[1])
+
+    def test_random_beliefs(self):
+        self.check(np.random.default_rng(11).uniform(-1.0, 1.0, 10**5))
+
+    def test_edge_inputs(self):
+        edges = np.array([-1.0, 0.0, -0.0, 1.0, 1.5, -2.0, np.inf, -np.inf, np.nan])
+        got = self.check(edges)
+        assert np.array_equal(got[:4], [0.0, math.log(2.0), math.log(2.0), 0.0])
+        assert np.all(np.isnan(got[4:]))
+        for b in edges:
+            with np.errstate(all="raise"):
+                h = entropy(float(b))
+            assert np.array_equal(h, self.reference(b), equal_nan=True)
+
+
 class TestMutualInformation:
     def test_fair_coin_gives_zero(self):
         s = BanditSpec(0.5, 0.7)

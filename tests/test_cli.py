@@ -387,6 +387,37 @@ class TestSweep:
         assert rc == 2
 
 
+def scipy_modules_after(code):
+    """scipy modules loaded once `code` has run in a fresh interpreter."""
+    probe = code + (
+        "\nimport json, sys"
+        "\nprint(json.dumps(sorted(m for m in sys.modules if m.startswith('scipy'))))"
+    )
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+class TestScipyLoadsOnlyToFactor:
+    def test_imports_load_no_scipy(self):
+        assert scipy_modules_after("import artifact") == []
+        assert scipy_modules_after("import artifact.cli") == []
+
+    @pytest.mark.parametrize("grid, lu", [(4001, False), (2001, True)])
+    def test_ids_loads_scipy_for_lu_only(self, tmp_path, grid, lu):
+        args = [
+            "ids", "--theta-minus", "0.55", "--theta-plus", "0.7", "--gamma", "0.99",
+            "--alpha", "0.5", "--grid", str(grid), "--out", str(tmp_path),
+        ]
+        loaded = scipy_modules_after(
+            f"from artifact.cli import main\nassert main({args!r}) == 0"
+        )
+        assert ("scipy.sparse.linalg" in loaded) == lu
+        assert lu or loaded == []
+        summary = json.loads((tmp_path / "ids_summary.json").read_text())
+        assert summary["grid_points"] == grid and summary["bound_holds"]
+
+
 class TestParser:
     def test_prog_name(self):
         assert cli.build_parser().prog == "artifact"

@@ -6,6 +6,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from artifact import solver
@@ -446,20 +447,41 @@ class TestSolveKernel:
 
     @staticmethod
     def spy(monkeypatch, fake=None):
-        """Record every bicgstab call; `fake` maps the real result to the
+        """Record every BiCGSTAB call; `fake` maps the real result to the
         one the solver sees."""
         calls = []
-        real = spla.bicgstab
+        real = solver._bicgstab
 
         def recorded(A, b, **kwargs):
-            x, info = real(A, b, **kwargs)
+            x, info, iterations = real(A, b, **kwargs)
             if fake is not None:
                 x, info = fake(x, info)
             calls.append({"A": A, "b": b, "x": x.copy(), "info": info, **kwargs})
-            return x, info
+            return x, info, iterations
 
-        monkeypatch.setattr(spla, "bicgstab", recorded)
+        monkeypatch.setattr(solver, "_bicgstab", recorded)
         return calls
+
+    def test_kernel_matches_scipy_bicgstab(self, case):
+        prob, pol = case
+        st = solver._Stencil(prob, pol.grid)
+        A, b = st.policy_system(pol.q), st.policy_reward(pol.q)
+        x, info, iterations = solver._bicgstab(
+            A, b, rtol=solver._KRYLOV_RTOL, maxiter=solver._KRYLOV_MAXITER
+        )
+        steps = []
+        csr = sp.identity(len(b), format="csr") - prob.gamma * A.transition()
+        x_sp, info_sp = spla.bicgstab(csr, b, rtol=solver._KRYLOV_RTOL, atol=0.0,
+                                      maxiter=solver._KRYLOV_MAXITER, callback=steps.append)
+        assert info == info_sp == 0
+        assert abs(iterations - len(steps)) <= 1
+        lu = A.lu_solve(b)
+
+        def cert(v):
+            return np.max(np.abs(b - A @ v)) / (1.0 - prob.gamma)
+
+        for v in (x, x_sp):
+            assert np.max(np.abs(v - lu)) <= cert(v) + cert(lu)
 
     def test_gate_keeps_small_grids_on_lu(self, monkeypatch):
         calls = self.spy(monkeypatch)
