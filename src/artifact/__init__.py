@@ -1,6 +1,6 @@
 """Discounted two-armed Bernoulli bandit with a hidden binary state.
 
-The packages solves the belief-state control problem exactly on a grid,
+The package solves the belief-state control problem exactly on a grid,
 implements information-directed action selection with a tunable
 regret/information trade-off, checks both against closed-form solutions
 on the symmetric and one-informative-arm subclasses, and runs the

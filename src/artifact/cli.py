@@ -165,7 +165,7 @@ def cmd_ids(args) -> int:
     out = _outdir(args)
     config = IdsConfig(alpha=args.alpha, gamma=prob.gamma)
     policy = ids_policy_on_grid(prob, grid, config)
-    v = policy_evaluation(prob, policy, tol=args.tol, method="direct")
+    v = policy_evaluation(prob, policy, tol=args.tol)
     regret = regret_curve(prob, v)
     psi = sup_info_ratio(prob, policy, args.alpha)
     bound, holds = regret_bound(prob, policy, args.alpha, 0.0, value=v)

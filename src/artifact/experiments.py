@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import numbers
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -94,6 +95,16 @@ class SweepManifest:
                 val = (val,)
             return tuple(float(x) for x in val)
 
+        # int() would truncate 801.9 and bool("false") is True, so these
+        # two fields take only their own JSON type
+        grid = raw.get("grid", 801)
+        if isinstance(grid, bool) or not isinstance(grid, numbers.Integral):
+            raise InvalidManifest(f"malformed manifest field grid: {grid!r} is not an integer")
+        symmetric = raw.get("symmetric", True)
+        if not isinstance(symmetric, bool):
+            raise InvalidManifest(
+                f"malformed manifest field symmetric: {symmetric!r} is not true or false"
+            )
         try:
             m = cls(
                 kind=raw.get("kind", ""),
@@ -101,10 +112,10 @@ class SweepManifest:
                 theta_plus=seq("theta_plus"),
                 gammas=seq("gammas"),
                 alphas=seq("alphas"),
-                grid=int(raw.get("grid", 801)),
+                grid=int(grid),
                 tol=None if raw.get("tol") is None else float(raw["tol"]),
                 beta0=float(raw.get("beta0", 0.0)),
-                symmetric=bool(raw.get("symmetric", True)),
+                symmetric=symmetric,
                 out_dir=str(raw.get("out_dir", ".")),
             )
         except (TypeError, ValueError) as exc:
@@ -210,7 +221,7 @@ def _optimal_solve(prob, grid, tol):
 
 def _ids_regret_nodes(prob, grid, alpha):
     policy = ids_policy_on_grid(prob, grid, IdsConfig(alpha=alpha, gamma=prob.gamma))
-    return regret_curve(prob, policy_evaluation(prob, policy, method="direct")).values
+    return regret_curve(prob, policy_evaluation(prob, policy)).values
 
 
 def _max_relative_excess(r_ids, r_opt):
@@ -303,7 +314,7 @@ def regret_scaling_gamma(
             vopt = _optimal_solve(prob, gobj, tol)
             r_opt = float(mdp_value(prob, beta0) - vopt(beta0))
             policy = ids_policy_on_grid(prob, gobj, IdsConfig(alpha=0.0, gamma=prob.gamma))
-            vids = policy_evaluation(prob, policy, method="direct")
+            vids = policy_evaluation(prob, policy)
             r_ids = float(mdp_value(prob, beta0) - vids(beta0))
             result.rows.append((1.0 - float(g), r_opt, r_ids))
         except BanditError as exc:

@@ -322,7 +322,7 @@ def regret_bound(
         with np.errstate(over="ignore"):
             bound = np.exp(s - alpha * math.log(1.0 - prob.gamma) + log_h)
     if value is None:
-        value = policy_evaluation(prob, policy, method="direct")
+        value = policy_evaluation(prob, policy)
     measured = mdp_value(prob, beta0) - value(beta0)
     if np.isinf(bound):
         return float(bound), True

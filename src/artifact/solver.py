@@ -5,10 +5,10 @@ between nodes, so continuation values are read off by piecewise-linear
 interpolation; that keeps the Bellman operator monotone and a
 gamma-contraction in the max norm.  The module provides the operator
 itself, value iteration, Howard policy iteration with a Bellman-residual
-certificate, policy evaluation (iterative, or by a direct solve with a
-residual certificate: certified BiCGSTAB on grids of 4001 nodes or more,
-sparse LU on smaller grids and as the fallback), a generic
-discounted-cost evaluator, the full-information reference value, regret
+certificate, policy evaluation and a generic discounted-cost evaluator
+(both by one direct solve with a residual certificate: certified
+BiCGSTAB on grids of 4001 nodes or more, sparse LU on smaller grids and
+as the fallback), the full-information reference value, regret
 curves, greedy policy extraction with boundary reporting, and
 enumeration of reachable beliefs.
 
@@ -159,20 +159,17 @@ class _Stencil:
         # the expected reward of arm a is its predictive probability of y = 1
         self.r = {a: self.p[(a, 1)] for a in (-1, 1)}
 
-    def interp(self, v, a, y):
-        j, t = self.j[(a, y)], self.t[(a, y)]
-        return v[j] * (1.0 - t) + v[j + 1] * t
-
-    def continuations(self, v):
-        return {
-            a: sum(self.p[(a, y)] * self.interp(v, a, y) for y in (0, 1))
-            for a in (-1, 1)
-        }
-
     def q_values(self, v):
-        cont = self.continuations(v)
-        g = self.prob.gamma
-        return {a: self.r[a] + g * cont[a] for a in (-1, 1)}
+        """Per arm, the reward plus gamma times the predictive average of v
+        interpolated at the two updated beliefs."""
+        q = {}
+        for a in (-1, 1):
+            cont = 0.0
+            for y in (0, 1):
+                j, t = self.j[(a, y)], self.t[(a, y)]
+                cont += self.p[(a, y)] * (v[j] * (1.0 - t) + v[j + 1] * t)
+            q[a] = self.r[a] + self.prob.gamma * cont
+        return q
 
     def backup(self, v):
         q = self.q_values(v)
@@ -186,13 +183,6 @@ class _Stencil:
         tie = q[1] == q[-1]
         prefer = prefer | (tie & (self.r[1] >= self.r[-1]))
         return prefer.astype(float)
-
-    def policy_backup(self, v, qdist, per_node):
-        """One sweep of v = per_node + gamma * (mixed continuation); the
-        per-node term carries the mixed reward or an external cost."""
-        cont = self.continuations(v)
-        g = self.prob.gamma
-        return per_node + g * ((1.0 - qdist) * cont[-1] + qdist * cont[1])
 
     def policy_reward(self, qdist):
         return (1.0 - qdist) * self.r[-1] + qdist * self.r[1]
@@ -271,29 +261,6 @@ def _resolve_tol(gamma, tol):
     if tol <= 0.0:
         raise ValueError("tol must be positive")
     return tol
-
-
-def _sweep(step, n, gamma, tol, max_sweeps, what):
-    """Iterate v <- step(v) from v = 0 until the max-norm change drops
-    below tol; returns (v, sweeps)."""
-    v = np.zeros(n)
-    if gamma == 0.0:
-        # the operator ignores its argument, so one sweep is exact
-        return step(v), 1
-    if max_sweeps is None:
-        max_sweeps = max(50, int(10.0 * math.log(1.0 / min(tol, 1.0)) / (1.0 - gamma)) + 10)
-    diff = math.inf
-    for k in range(1, max_sweeps + 1):
-        v2 = step(v)
-        diff = float(np.max(np.abs(v2 - v)))
-        v = v2
-        if diff < tol:
-            return v, k
-    raise IterationLimit(
-        f"{what} did not reach tol={tol:g} in {max_sweeps} sweeps",
-        iterations=max_sweeps,
-        residual=diff,
-    )
 
 
 # LU fill outgrows the grid: on the IDS(0.5) policy of (0.55, 0.7), gamma
@@ -430,10 +397,27 @@ def value_iteration(
     the a-posteriori bound ||V - V*||_inf <= tol*gamma/(1-gamma).  Raises
     IterationLimit when max_sweeps is exhausted.
     """
-    tol = _resolve_tol(prob.gamma, tol)
+    gamma = prob.gamma
+    tol = _resolve_tol(gamma, tol)
     st = _Stencil(prob, grid)
-    v, k = _sweep(st.backup, grid.n_points, prob.gamma, tol, max_sweeps, "value iteration")
-    return ValueFunction(grid, v), k
+    v = np.zeros(grid.n_points)
+    if gamma == 0.0:
+        # the operator ignores its argument, so one sweep is exact
+        return ValueFunction(grid, st.backup(v)), 1
+    if max_sweeps is None:
+        max_sweeps = max(50, int(10.0 * math.log(1.0 / min(tol, 1.0)) / (1.0 - gamma)) + 10)
+    diff = math.inf
+    for k in range(1, max_sweeps + 1):
+        v2 = st.backup(v)
+        diff = float(np.max(np.abs(v2 - v)))
+        v = v2
+        if diff < tol:
+            return ValueFunction(grid, v), k
+    raise IterationLimit(
+        f"value iteration did not reach tol={tol:g} in {max_sweeps} sweeps",
+        iterations=max_sweeps,
+        residual=diff,
+    )
 
 
 def _resolve_costs(cost, grid):
@@ -448,18 +432,12 @@ def _resolve_costs(cost, grid):
     return c
 
 
-def _fixed_point(st, qdist, per_node, tol, max_sweeps, method, what):
-    """Solve v = per_node + gamma * M_pi v either by sweeping or directly."""
-    if method not in ("direct", "sweep"):
+def _certified_solve(st, qdist, per_node, tol, method, what):
+    """Solve v = per_node + gamma * M_pi v by _solve_policy and raise
+    IterationLimit when its certificate misses tol."""
+    if method != "direct":
         raise ValueError(f"unknown method {method!r}")
-    gamma = st.prob.gamma
-    tol = _resolve_tol(gamma, tol)
-    if method == "sweep":
-        v, _ = _sweep(
-            lambda v: st.policy_backup(v, qdist, per_node),
-            st.grid.n_points, gamma, tol, max_sweeps, what,
-        )
-        return ValueFunction(st.grid, v)
+    tol = _resolve_tol(st.prob.gamma, tol)
     v, cert, iterations, how = _solve_policy(st, qdist, per_node, tol)
     if cert > tol:
         raise IterationLimit(
@@ -474,22 +452,24 @@ def policy_evaluation(
     prob: DiscountedProblem,
     policy: PolicyTable,
     tol: float | None = None,
-    max_sweeps: int | None = None,
-    method: str = "sweep",
+    method: str = "direct",
 ) -> ValueFunction:
     """Discounted value of a fixed (possibly stochastic) policy.
 
-    method="sweep" iterates the policy backup with the same contraction
-    guarantee as value_iteration; method="direct" solves the sparse linear
-    system (I - gamma*M)v = r, by certified BiCGSTAB on grids of 4001
-    nodes or more and by LU on smaller grids and as the fallback, and
-    certifies it by the residual bound ||v - v_pi|| <= ||r - (I -
-    gamma*M)v|| / (1-gamma).  Either method raises IterationLimit when its
-    bound misses tol (default default_tolerance(gamma)).
+    Solves the sparse linear system (I - gamma*M)v = r, by certified
+    BiCGSTAB on grids of 4001 nodes or more and by LU on smaller grids and
+    as the fallback, and certifies the result by the residual bound
+    ||v - v_pi|| <= ||r - (I - gamma*M)v|| / (1-gamma).  Raises
+    IterationLimit when that bound misses tol (default
+    default_tolerance(gamma)).
+
+    There is one method.  `method` accepts only "direct", its name, so
+    that existing callers which pass it keep working; any other value
+    raises ValueError.
     """
     st = _Stencil(prob, policy.grid)
     rpi = st.policy_reward(policy.q)
-    return _fixed_point(st, policy.q, rpi, tol, max_sweeps, method, "policy evaluation")
+    return _certified_solve(st, policy.q, rpi, tol, method, "policy evaluation")
 
 
 def evaluate_cost(
@@ -497,19 +477,20 @@ def evaluate_cost(
     policy: PolicyTable,
     cost,
     tol: float | None = None,
-    max_sweeps: int | None = None,
-    method: str = "sweep",
+    method: str = "direct",
 ) -> ValueFunction:
     """Cumulative discounted cost of an arbitrary per-belief one-step cost.
 
     `cost` is either an array with one entry per node or a callable
     applied to the node vector; costs that depend on the policy should be
     supplied already mixed.  The result is the fixed point of
-    C = cost + gamma * M_pi C and is linear in the cost argument.
+    C = cost + gamma * M_pi C and is linear in the cost argument.  It is
+    solved and certified against tol as in policy_evaluation, which also
+    says why `method` is accepted.
     """
     st = _Stencil(prob, policy.grid)
     c = _resolve_costs(cost, policy.grid)
-    return _fixed_point(st, policy.q, c, tol, max_sweeps, method, "cost evaluation")
+    return _certified_solve(st, policy.q, c, tol, method, "cost evaluation")
 
 
 def policy_iteration(
@@ -524,9 +505,9 @@ def policy_iteration(
     handful of rounds on informative arms and is far cheaper than value
     iteration when gamma is close to 1.  Near a fair coin the boundary
     ends far from the myopic start and moves one or two nodes per round,
-    so the default budget is one round per grid node.  Evaluations solve
-    as policy_evaluation(method="direct"), BiCGSTAB warm-started, and
-    stay on LU after the first round that falls back to it.
+    so the default budget is one round per grid node.  Evaluations use
+    the one certified solve of policy_evaluation, BiCGSTAB warm-started,
+    and stay on LU after the first round that falls back to it.
 
     Returns (ValueFunction, PolicyTable, rounds).  The value is the grid
     optimum up to the error of the linear solves; certify_optimal bounds

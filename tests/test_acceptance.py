@@ -51,7 +51,7 @@ def optimal_regret_nodes(prob, grid):
 
 def ids_regret_nodes(prob, grid, alpha):
     policy = ids_policy_on_grid(prob, grid, IdsConfig(alpha=alpha, gamma=prob.gamma))
-    v = policy_evaluation(prob, policy, method="direct")
+    v = policy_evaluation(prob, policy)
     return v, mdp_value(prob, grid.nodes) - v.values
 
 
@@ -241,7 +241,7 @@ def test_criterion_08_regret_bound_holds_everywhere():
                 policy = ids_policy_on_grid(
                     prob, grid, IdsConfig(alpha=alpha, gamma=gamma)
                 )
-                v = policy_evaluation(prob, policy, method="direct")
+                v = policy_evaluation(prob, policy)
                 for beta0 in np.linspace(-1.0, 1.0, 21):
                     bound, holds = regret_bound(prob, policy, alpha, beta0, value=v)
                     all_hold = all_hold and holds

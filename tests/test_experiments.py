@@ -83,6 +83,16 @@ class TestManifestValidation:
         with pytest.raises(InvalidManifest, match="grid"):
             make_manifest(grid=1)
 
+    def test_rejects_non_integral_grid(self):
+        for grid in (801.9, 801.0, True):
+            with pytest.raises(InvalidManifest, match="grid"):
+                make_manifest(grid=grid)
+
+    def test_rejects_non_boolean_symmetric(self):
+        for flag in ("false", 0, None):
+            with pytest.raises(InvalidManifest, match="symmetric"):
+                make_manifest(symmetric=flag)
+
     def test_rejects_nonpositive_tol(self):
         with pytest.raises(InvalidManifest, match="tol"):
             make_manifest(tol=0.0)

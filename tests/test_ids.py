@@ -288,7 +288,7 @@ class TestSmallAlphaLimit:
         return ids_policy_on_grid(self.prob, self.grid, IdsConfig(alpha=alpha, gamma=0.99))
 
     def max_regret(self, alpha):
-        v = policy_evaluation(self.prob, self.policy(alpha), method="direct")
+        v = policy_evaluation(self.prob, self.policy(alpha))
         return float(np.max(regret_curve(self.prob, v).values))
 
     def test_tiny_alpha_regret_matches_ids0(self):
@@ -428,7 +428,7 @@ class TestRatioTable:
         prob = DiscountedProblem(BanditSpec(0.55, 0.7), 0.99)
         grid = BeliefGrid(201)
         pol = ids_policy_on_grid(prob, grid, IdsConfig(alpha=0.5, gamma=0.99))
-        v = policy_evaluation(prob, pol, method="direct")
+        v = policy_evaluation(prob, pol)
         sup_info_ratio(prob, pol, 0.5)
         scaled_log_sup_ratio(prob, pol, 0.5)
         regret_bound(prob, pol, 0.5, 0.0, value=v)

@@ -230,27 +230,44 @@ class TestPolicyEvaluation:
     def test_greedy_policy_recovers_optimal_value(self):
         prob, grid, v, _ = solve(0.7, 0.7, 0.9, n=401)
         pol = extract_greedy_policy(prob, v)
-        vp = policy_evaluation(prob, pol, method="direct")
+        vp = policy_evaluation(prob, pol)
         tol = default_tolerance(prob.gamma)
         budget = 2.0 * tol * prob.gamma / (1.0 - prob.gamma)
         assert np.max(np.abs(vp.values - v.values)) <= budget
 
-    def test_sweep_and_direct_agree(self):
+    def test_matches_dense_solve(self):
         prob = DiscountedProblem(BanditSpec(0.55, 0.7), 0.9)
         grid = BeliefGrid(201)
         rng = np.random.default_rng(2)
         pol = PolicyTable(grid, rng.uniform(0, 1, grid.n_points))
-        a = policy_evaluation(prob, pol, method="sweep")
-        b = policy_evaluation(prob, pol, method="direct")
-        assert np.max(np.abs(a.values - b.values)) <= 1e-6
+        m = policy_transition(prob, pol).toarray()
+        r = [
+            (1 - qi) * expected_reward(prob.spec, b, -1)
+            + qi * expected_reward(prob.spec, b, 1)
+            for b, qi in zip(grid.nodes, pol.q)
+        ]
+        want = np.linalg.solve(np.eye(grid.n_points) - prob.gamma * m, r)
+        v = policy_evaluation(prob, pol)
+        assert np.max(np.abs(v.values - want)) <= 1e-10
+
+    def test_default_call_is_certified_near_gamma_one(self):
+        """At gamma 0.9999 a sweep stopped by its step size missed the
+        value by about 0.1; the default call must meet its tolerance."""
+        prob = DiscountedProblem(BanditSpec(0.7, 0.7), 0.9999)
+        grid = BeliefGrid(401)
+        v, pol, _ = policy_iteration(prob, grid)
+        tol = default_tolerance(prob.gamma)
+        assert np.max(np.abs(policy_evaluation(prob, pol).values - v.values)) <= tol
+        c = evaluate_cost(prob, pol, np.ones(grid.n_points))
+        assert np.max(np.abs(c.values - 1.0 / (1.0 - prob.gamma))) <= tol
 
     def test_direct_solve_is_certified_against_tol(self):
         prob = DiscountedProblem(BanditSpec(0.55, 0.7), 0.99)
         grid = BeliefGrid(201)
         pol = PolicyTable(grid, np.full(grid.n_points, 0.5))
-        policy_evaluation(prob, pol, method="direct")
+        policy_evaluation(prob, pol)
         with pytest.raises(IterationLimit) as info:
-            policy_evaluation(prob, pol, tol=1e-30, method="direct")
+            policy_evaluation(prob, pol, tol=1e-30)
         assert info.value.iterations == 1
         assert 0.0 < info.value.residual <= default_tolerance(prob.gamma)
 
@@ -258,8 +275,13 @@ class TestPolicyEvaluation:
         prob = DiscountedProblem(BanditSpec(0.55, 0.7), 0.9)
         grid = BeliefGrid(11)
         pol = PolicyTable(grid, np.zeros(11))
-        with pytest.raises(ValueError):
-            policy_evaluation(prob, pol, method="cholesky")
+        policy_evaluation(prob, pol, method="direct")
+        evaluate_cost(prob, pol, np.ones(11), method="direct")
+        for method in ("sweep", "cholesky"):
+            with pytest.raises(ValueError):
+                policy_evaluation(prob, pol, method=method)
+            with pytest.raises(ValueError):
+                evaluate_cost(prob, pol, np.ones(11), method=method)
 
 
 class TestCostEvaluation:
@@ -270,16 +292,16 @@ class TestCostEvaluation:
         self.pol = PolicyTable(self.grid, rng.uniform(0, 1, self.grid.n_points))
 
     def test_unit_cost_accumulates_geometric_series(self):
-        c = evaluate_cost(self.prob, self.pol, np.ones(self.grid.n_points), method="direct")
+        c = evaluate_cost(self.prob, self.pol, np.ones(self.grid.n_points))
         np.testing.assert_allclose(c.values, 1.0 / (1.0 - self.prob.gamma), atol=1e-9)
 
     def test_linearity(self):
         rng = np.random.default_rng(4)
         f = rng.normal(size=self.grid.n_points)
         g = rng.normal(size=self.grid.n_points)
-        cf = evaluate_cost(self.prob, self.pol, f, method="direct").values
-        cg = evaluate_cost(self.prob, self.pol, g, method="direct").values
-        cfg = evaluate_cost(self.prob, self.pol, f + g, method="direct").values
+        cf = evaluate_cost(self.prob, self.pol, f).values
+        cg = evaluate_cost(self.prob, self.pol, g).values
+        cfg = evaluate_cost(self.prob, self.pol, f + g).values
         np.testing.assert_allclose(cfg, cf + cg, atol=1e-8)
 
     def test_one_step_regret_cost_recovers_policy_regret(self):
@@ -290,8 +312,8 @@ class TestCostEvaluation:
                 for b, qi in zip(self.grid.nodes, self.pol.q)
             ]
         )
-        c = evaluate_cost(self.prob, self.pol, delta, method="direct")
-        vp = policy_evaluation(self.prob, self.pol, method="direct")
+        c = evaluate_cost(self.prob, self.pol, delta)
+        vp = policy_evaluation(self.prob, self.pol)
         want = mdp_value(self.prob, self.grid.nodes) - vp.values
         np.testing.assert_allclose(c.values, want, atol=1e-9)
 
@@ -314,12 +336,11 @@ class TestCostEvaluation:
                     if p > 0.0:
                         exp_h += w * p * entropy(belief_update(spec, b, a, y))
             g[i] = entropy(b) - gamma * exp_h
-        c = evaluate_cost(self.prob, pol, g, method="direct")
+        c = evaluate_cost(self.prob, pol, g)
         assert np.max(np.abs(c.values - entropy(grid.nodes))) <= 1e-3
 
     def test_callable_cost_and_validation(self):
-        c = evaluate_cost(self.prob, self.pol, lambda nodes: np.ones_like(nodes),
-                          method="direct")
+        c = evaluate_cost(self.prob, self.pol, lambda nodes: np.ones_like(nodes))
         assert c(0.0) == pytest.approx(1.0 / (1.0 - self.prob.gamma))
         with pytest.raises(ValueError):
             evaluate_cost(self.prob, self.pol, np.ones(7))
@@ -350,7 +371,7 @@ class TestMdpReferenceAndRegret:
         rstar = regret_curve(prob, v)
         rng = np.random.default_rng(9)
         pol = PolicyTable(grid, rng.uniform(0, 1, grid.n_points))
-        rp = regret_curve(prob, policy_evaluation(prob, pol, method="direct"))
+        rp = regret_curve(prob, policy_evaluation(prob, pol))
         tol = default_tolerance(prob.gamma)
         slack = 2.0 * tol * prob.gamma / (1.0 - prob.gamma)
         assert np.all(rp.values >= rstar.values - slack)
@@ -488,19 +509,19 @@ class TestSolveKernel:
         prob = DiscountedProblem(BanditSpec(0.55, 0.7), 0.99)
         grid = BeliefGrid(2001)
         _, pol, _ = policy_iteration(prob, grid)
-        policy_evaluation(prob, pol, method="direct")
+        policy_evaluation(prob, pol)
         assert calls == []
 
     def test_value_within_certificate_of_lu(self, case, monkeypatch):
         prob, pol = case
         calls = self.spy(monkeypatch)
-        v = policy_evaluation(prob, pol, method="direct").values
+        v = policy_evaluation(prob, pol).values
         (call,) = calls
         assert call["info"] == 0
         assert np.array_equal(v, call["x"])
         cert = np.max(np.abs(call["b"] - call["A"] @ v)) / (1.0 - prob.gamma)
         assert 0.0 < cert <= default_tolerance(prob.gamma)
-        lu = self.lu_only(monkeypatch, lambda: policy_evaluation(prob, pol, method="direct"))
+        lu = self.lu_only(monkeypatch, lambda: policy_evaluation(prob, pol))
         lu_cert = np.max(np.abs(call["b"] - call["A"] @ lu.values)) / (1.0 - prob.gamma)
         assert np.max(np.abs(v - lu.values)) <= cert + lu_cert
 
@@ -512,9 +533,9 @@ class TestSolveKernel:
     def test_rejected_iterate_falls_back_to_lu(self, case, monkeypatch, fake):
         # a loose tol does not loosen acceptance below default_tolerance
         prob, pol = case
-        lu = self.lu_only(monkeypatch, lambda: policy_evaluation(prob, pol, method="direct"))
+        lu = self.lu_only(monkeypatch, lambda: policy_evaluation(prob, pol))
         calls = self.spy(monkeypatch, fake)
-        v = policy_evaluation(prob, pol, tol=1e-3, method="direct")
+        v = policy_evaluation(prob, pol, tol=1e-3)
         assert len(calls) == 1
         assert np.array_equal(v.values, lu.values)
 
@@ -523,15 +544,15 @@ class TestSolveKernel:
         # certificate by d; 1e-9 stays inside default_tolerance = 1e-7
         prob, pol = case
         calls = self.spy(monkeypatch, lambda x, info: (x + 1e-9, 0))
-        v = policy_evaluation(prob, pol, method="direct")
+        v = policy_evaluation(prob, pol)
         assert np.array_equal(v.values, calls[0]["x"])
 
     def test_tol_never_enters_the_stopping_rule(self, case, monkeypatch):
         prob, pol = case
         calls = self.spy(monkeypatch)
-        loose = policy_evaluation(prob, pol, tol=1e-3, method="direct")
-        default = policy_evaluation(prob, pol, method="direct")
-        tight = policy_evaluation(prob, pol, tol=1e-9, method="direct")
+        loose = policy_evaluation(prob, pol, tol=1e-3)
+        default = policy_evaluation(prob, pol)
+        tight = policy_evaluation(prob, pol, tol=1e-9)
         assert np.array_equal(loose.values, default.values)
         assert np.array_equal(tight.values, default.values)
         assert len({c["rtol"] for c in calls}) == 1
@@ -539,7 +560,7 @@ class TestSolveKernel:
     def test_unreachable_tol_raises_after_lu_fallback(self, case):
         prob, pol = case
         with pytest.raises(IterationLimit) as info:
-            policy_evaluation(prob, pol, tol=1e-30, method="direct")
+            policy_evaluation(prob, pol, tol=1e-30)
         assert info.value.iterations == 1
         assert "LU after BiCGSTAB" in str(info.value)
         assert 0.0 < info.value.residual <= default_tolerance(prob.gamma)
