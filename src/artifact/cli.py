@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -105,8 +106,8 @@ def _problem(args):
     spec = BanditSpec(args.theta_minus, args.theta_plus)
     prob = DiscountedProblem(spec, args.gamma)
     grid = BeliefGrid(args.grid)
-    if args.tol is not None and args.tol <= 0.0:
-        raise ValueError("tol must be positive")
+    if args.tol is not None and not (math.isfinite(args.tol) and args.tol > 0.0):
+        raise ValueError(f"tol must be positive and finite, got {args.tol}")
     return prob, grid
 
 

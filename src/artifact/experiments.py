@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import numbers
 import os
 import time
@@ -88,12 +89,19 @@ class SweepManifest:
         unknown = set(raw) - {f.name for f in fields(cls)}
         if unknown:
             raise InvalidManifest(f"unknown manifest fields: {sorted(unknown)}")
+        def number(key, x):
+            # float(True) is 1.0 and float("0.7") parses, so a numeric
+            # field takes only a JSON number
+            if isinstance(x, bool) or not isinstance(x, numbers.Real):
+                raise InvalidManifest(f"malformed manifest field {key}: {x!r} is not a number")
+            return float(x)
+
         def seq(key):
             # scalars are accepted as singleton grids
             val = raw.get(key, ())
-            if isinstance(val, (int, float)) and not isinstance(val, bool):
+            if isinstance(val, (int, float)):
                 val = (val,)
-            return tuple(float(x) for x in val)
+            return tuple(number(key, x) for x in val)
 
         # int() would truncate 801.9 and bool("false") is True, so these
         # two fields take only their own JSON type
@@ -113,8 +121,8 @@ class SweepManifest:
                 gammas=seq("gammas"),
                 alphas=seq("alphas"),
                 grid=int(grid),
-                tol=None if raw.get("tol") is None else float(raw["tol"]),
-                beta0=float(raw.get("beta0", 0.0)),
+                tol=None if raw.get("tol") is None else number("tol", raw["tol"]),
+                beta0=number("beta0", raw.get("beta0", 0.0)),
                 symmetric=symmetric,
                 out_dir=str(raw.get("out_dir", ".")),
             )
@@ -149,8 +157,8 @@ class SweepManifest:
                 raise InvalidManifest(f"alpha value {a} outside [0, 1]")
         if self.grid < 3 or self.grid % 2 == 0:
             raise InvalidManifest(f"grid must be odd and >= 3, got {self.grid}")
-        if self.tol is not None and self.tol <= 0.0:
-            raise InvalidManifest("tol must be positive when given")
+        if self.tol is not None and not (math.isfinite(self.tol) and self.tol > 0.0):
+            raise InvalidManifest(f"tol must be positive and finite when given, got {self.tol}")
         if not -1.0 <= self.beta0 <= 1.0:
             raise InvalidManifest(f"beta0 {self.beta0} outside [-1, 1]")
         if self.kind == "curves":
@@ -264,7 +272,8 @@ def _heatmap_cell(args):
 def _run_jobs(jobs, worker, n_workers):
     if n_workers <= 1 or len(jobs) <= 1:
         return [worker(j) for j in jobs]
-    with ProcessPoolExecutor(max_workers=n_workers) as pool:
+    # the pool starts all its workers at the first submit, however few jobs
+    with ProcessPoolExecutor(max_workers=min(n_workers, len(jobs))) as pool:
         return list(pool.map(worker, jobs, chunksize=1))
 
 

@@ -103,7 +103,8 @@ def json_number(x):
 
 def write_json_doc(path, doc: dict):
     """Stable strict JSON: sorted keys, two-space indent, trailing newline.
-    NaN and infinities raise ValueError; pass them through json_number."""
+    NaN and infinities raise ValueError, before the file is opened, so no
+    partial file is left; pass them through json_number."""
+    text = json.dumps(doc, sort_keys=True, indent=2, allow_nan=False)
     with open(path, "w") as fh:
-        json.dump(doc, fh, sort_keys=True, indent=2, allow_nan=False)
-        fh.write("\n")
+        fh.write(text + "\n")

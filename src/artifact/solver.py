@@ -7,14 +7,13 @@ gamma-contraction in the max norm.  The module provides the operator
 itself, value iteration, Howard policy iteration with a Bellman-residual
 certificate, policy evaluation and a generic discounted-cost evaluator
 (both by one direct solve with a residual certificate: certified
-BiCGSTAB on grids of 4001 nodes or more, sparse LU on smaller grids and
-as the fallback), the full-information reference value, regret
-curves, greedy policy extraction with boundary reporting, and
-enumeration of reachable beliefs.
+BiCGSTAB, with sparse LU as the fallback), the full-information
+reference value, regret curves, greedy policy extraction with boundary
+reporting, and enumeration of reachable beliefs.
 
 BiCGSTAB and the certificates apply the policy system as a numpy
 stencil product.  scipy.sparse is imported only where a sparse matrix is
-assembled, for an LU solve or by policy_transition, so a run whose
+assembled, for an LU fallback or by policy_transition, so a run whose
 solves all converge under BiCGSTAB never loads scipy.
 """
 
@@ -219,7 +218,7 @@ class _PolicySystem:
 
     def transition(self):
         """M as a CSR matrix, assembled from (row, col, weight) triplets
-        in stencil order, as LU results on small grids rest on."""
+        in stencil order."""
         import scipy.sparse as sp
 
         n = self.cols.shape[1]
@@ -235,8 +234,6 @@ class _PolicySystem:
 
         M = self.transition()
         A = sp.identity(M.shape[0], format="csr") - self.gamma * M
-        # spsolve factors a CSR matrix as its transpose, which rounds
-        # differently from the CSC factorisation small-grid outputs rest on
         return spla.spsolve(A.tocsc(), b)
 
 
@@ -258,19 +255,17 @@ def default_tolerance(gamma: float) -> float:
 def _resolve_tol(gamma, tol):
     if tol is None:
         return default_tolerance(gamma)
-    if tol <= 0.0:
-        raise ValueError("tol must be positive")
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise ValueError(f"tol must be positive and finite, got {tol}")
     return tol
 
 
-# LU fill outgrows the grid: on the IDS(0.5) policy of (0.55, 0.7), gamma
-# 0.99, one CPU, LU takes 65 ms at N 4001 and 1.59 s at N 20001, and
-# BiCGSTAB on the numpy stencil product 24 and 116 ms.  scipy's bicgstab
-# on a CSR matrix takes 12 and 55 ms but first costs about 0.2 s to load
+# LU fill outgrows the grid (1.59 s at N 20001 on the IDS(0.5) policy of
+# (0.55, 0.7), gamma 0.99, against 116 ms for BiCGSTAB on the numpy
+# stencil product), and its first call costs about 0.2 s to load
 # scipy.sparse.linalg.  The stopping rule never reads the caller's tol.
 # The cap sits above the 60-160 iterations of informative specs and
-# bounds an attempt near a fair coin, where BiCGSTAB needs 500 or more.
-_KRYLOV_MIN_NODES = 4001
+# bounds an attempt near a fair coin, where BiCGSTAB can miss.
 _KRYLOV_RTOL = 1e-13
 _KRYLOV_MAXITER = 200
 
@@ -346,7 +341,7 @@ def _solve_policy(st, q, per_node, tol, x0=None, krylov=True):
         return float(np.max(np.abs(per_node - A @ v))) / (1.0 - gamma)
 
     method = "LU"
-    if krylov and st.grid.n_points >= _KRYLOV_MIN_NODES:
+    if krylov:
         v, info, iterations = _bicgstab(A, per_node, x0=x0, rtol=_KRYLOV_RTOL,
                                         maxiter=_KRYLOV_MAXITER)
         if info == 0:
@@ -456,9 +451,8 @@ def policy_evaluation(
 ) -> ValueFunction:
     """Discounted value of a fixed (possibly stochastic) policy.
 
-    Solves the sparse linear system (I - gamma*M)v = r, by certified
-    BiCGSTAB on grids of 4001 nodes or more and by LU on smaller grids and
-    as the fallback, and certifies the result by the residual bound
+    Solves the sparse linear system (I - gamma*M)v = r by BiCGSTAB, with
+    sparse LU as the fallback, and certifies the result by the residual bound
     ||v - v_pi|| <= ||r - (I - gamma*M)v|| / (1-gamma).  Raises
     IterationLimit when that bound misses tol (default
     default_tolerance(gamma)).

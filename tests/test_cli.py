@@ -101,6 +101,22 @@ class TestSolve:
         )
         assert rc == 2
 
+    @pytest.mark.parametrize("command", ["solve", "ids", "compare"])
+    @pytest.mark.parametrize("tol", ["nan", "inf"])
+    def test_non_finite_tol_exits_2_before_writing(self, tmp_path, capsys, command, tol):
+        # cert > nan is never true, so a NaN tol would switch the check off
+        alpha = ["--alpha", "0.5"] if command == "ids" else []
+        rc = cli.main(
+            [
+                command,
+                "--theta-minus", "0.7", "--theta-plus", "0.7", "--gamma", "0.9",
+                *alpha, "--grid", "201", f"--tol={tol}", "--out", str(tmp_path),
+            ]
+        )
+        assert rc == 2
+        assert "tol must be positive and finite" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     def test_nonconvergence_exits_3(self, tmp_path, monkeypatch, capsys):
         def boom(*args, **kwargs):
             raise IterationLimit("sweep budget exhausted", 10, 1.0)
@@ -403,19 +419,52 @@ class TestScipyLoadsOnlyToFactor:
         assert scipy_modules_after("import artifact") == []
         assert scipy_modules_after("import artifact.cli") == []
 
-    @pytest.mark.parametrize("grid, lu", [(4001, False), (2001, True)])
+    @staticmethod
+    def run_main(args):
+        return scipy_modules_after(f"from artifact.cli import main\nassert main({args!r}) == 0")
+
+    @pytest.mark.parametrize("grid, lu", [(4001, False), (2001, False)])
     def test_ids_loads_scipy_for_lu_only(self, tmp_path, grid, lu):
         args = [
             "ids", "--theta-minus", "0.55", "--theta-plus", "0.7", "--gamma", "0.99",
             "--alpha", "0.5", "--grid", str(grid), "--out", str(tmp_path),
         ]
-        loaded = scipy_modules_after(
-            f"from artifact.cli import main\nassert main({args!r}) == 0"
-        )
+        loaded = self.run_main(args)
         assert ("scipy.sparse.linalg" in loaded) == lu
         assert lu or loaded == []
         summary = json.loads((tmp_path / "ids_summary.json").read_text())
         assert summary["grid_points"] == grid and summary["bound_holds"]
+
+    def test_solve_loads_no_scipy(self, tmp_path):
+        args = [
+            "solve", "--theta-minus", "0.7", "--theta-plus", "0.7", "--gamma", "0.9999",
+            "--out", str(tmp_path),
+        ]
+        assert self.run_main(args) == []
+        summary = json.loads((tmp_path / "summary.json").read_text())
+        assert summary["grid_points"] == 2001
+        assert summary["error_bound"] <= summary["tolerance"]
+
+    def test_alpha_sweep_loads_no_scipy(self, tmp_path):
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps({
+            "kind": "alpha", "theta_minus": [0.55], "theta_plus": [0.7], "gammas": [0.99],
+            "alphas": [0.0, 0.25, 0.5, 1.0], "grid": 801, "out_dir": str(tmp_path),
+        }))
+        assert self.run_main(["sweep", str(manifest)]) == []
+        (csv,) = tmp_path.glob("alpha_*.csv")
+        assert len(csv.read_text().splitlines()) == 5
+
+    def test_fallback_loads_scipy_and_meets_certificate(self, tmp_path):
+        # near a fair coin BiCGSTAB misses the certificate on the IDS(0.5)
+        # policy, LU takes over, and the command exits 0 only if LU meets it
+        args = [
+            "ids", "--theta-minus", "0.5", "--theta-plus", "0.55", "--gamma", "0.999",
+            "--alpha", "0.5", "--grid", "2001", "--out", str(tmp_path),
+        ]
+        assert "scipy.sparse.linalg" in self.run_main(args)
+        summary = json.loads((tmp_path / "ids_summary.json").read_text())
+        assert summary["grid_points"] == 2001 and summary["bound_holds"]
 
 
 class TestParser:

@@ -93,9 +93,38 @@ class TestManifestValidation:
             with pytest.raises(InvalidManifest, match="symmetric"):
                 make_manifest(symmetric=flag)
 
-    def test_rejects_nonpositive_tol(self):
+    def test_numeric_fields_take_only_json_numbers(self):
+        # float(True) is 1.0 and float("0.7") parses, so each numeric field
+        # must refuse a JSON boolean or string and name itself
+        cases = [
+            ("theta_minus", [True]),
+            ("theta_plus", [True, 0.7]),
+            ("theta_plus", ["0.7"]),
+            ("gammas", [False]),
+            ("alphas", [0.5, True]),
+            ("tol", True),
+            ("tol", "1e-6"),
+            ("beta0", False),
+            ("beta0", "0"),
+        ]
+        for key, val in cases:
+            with pytest.raises(InvalidManifest, match=f"malformed manifest field {key}"):
+                make_manifest(**{key: val})
+        with pytest.raises(InvalidManifest, match="theta_plus"):
+            SweepManifest.from_dict({
+                "kind": "curves", "theta_plus": [True, 0.7], "gammas": [0.9],
+                "grid": 201, "tol": True, "beta0": False,
+            })
+
+    def test_rejects_nonpositive_tol(self, tmp_path):
+        for tol in (0.0, float("nan"), float("inf")):
+            with pytest.raises(InvalidManifest, match="tol"):
+                make_manifest(tol=tol)
+        # Python's json reads the NaN literal
+        path = tmp_path / "man.json"
+        path.write_text('{"kind": "curves", "theta_plus": [0.7], "gammas": [0.9], "tol": NaN}')
         with pytest.raises(InvalidManifest, match="tol"):
-            make_manifest(tol=0.0)
+            SweepManifest.from_json(path)
 
     def test_rejects_beta0_outside_range(self):
         with pytest.raises(InvalidManifest, match="beta0"):
@@ -404,6 +433,31 @@ class TestRunManifest:
             lines = fh.read().splitlines()
         assert len(lines) == 2  # header plus the surviving row
         assert lines[1].startswith("0.7,")
+
+
+class TestRunJobs:
+    def test_pool_is_capped_at_the_job_count(self, monkeypatch):
+        # a pool starts every worker at its first submit, so 64 requested
+        # workers for 3 jobs must start 3; the fake starts no process
+        seen = []
+
+        class FakePool:
+            def __init__(self, max_workers):
+                seen.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, jobs, chunksize=1):
+                return map(fn, jobs)
+
+        monkeypatch.setattr(exp, "ProcessPoolExecutor", FakePool)
+        assert exp._run_jobs([1, 2, 3], abs, 64) == [1, 2, 3]
+        assert exp._run_jobs([1, 2], abs, 2) == [1, 2]
+        assert seen == [3, 2]
 
 
 class TestResolveWorkers:

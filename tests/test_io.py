@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import csv
 import io
+import json
 
 import numpy as np
 import pytest
@@ -139,3 +140,18 @@ class TestWriters:
         np.testing.assert_allclose(back.values, vf.values, rtol=1e-11, atol=0.0)
         artio.write_value_csv(second, back)
         assert second.read_bytes() == first.read_bytes()
+
+
+class TestJsonDoc:
+    def test_non_strict_doc_leaves_no_partial_file(self, tmp_path):
+        path = tmp_path / "doc.json"
+        with pytest.raises(ValueError):
+            artio.write_json_doc(path, {"a": 1.0, "z": float("nan")})
+        assert not path.exists()
+        artio.write_json_doc(path, {"a": 1.0})
+        before = path.read_bytes()
+        with pytest.raises(ValueError):
+            artio.write_json_doc(path, {"a": 2.0, "z": float("inf")})
+        assert path.read_bytes() == before
+        assert json.loads(before) == {"a": 1.0}
+        assert before.endswith(b"}\n")

@@ -179,6 +179,15 @@ class TestValueIteration:
         prob = DiscountedProblem(BanditSpec(0.7, 0.7), 0.9)
         with pytest.raises(ValueError):
             value_iteration(prob, BeliefGrid(101), tol=0.0)
+        # bound > nan is never true, so a NaN tol would certify anything
+        v, pol, _ = policy_iteration(prob, BeliefGrid(101))
+        for tol in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="finite"):
+                certify_optimal(prob, v, tol)
+            with pytest.raises(ValueError, match="finite"):
+                policy_evaluation(prob, pol, tol=tol)
+            with pytest.raises(ValueError, match="finite"):
+                value_iteration(prob, BeliefGrid(101), tol=tol)
 
     def test_convexity_of_converged_value(self):
         _, grid, v, _ = solve(0.55, 0.7, 0.99, n=401)
@@ -450,8 +459,8 @@ class TestPolicyExtraction:
 
 
 class TestSolveKernel:
-    """Direct solves above the BiCGSTAB gate: (0.55, 0.7), gamma 0.99,
-    8001 nodes, the IDS(0.5) policy."""
+    """Direct solves of certified BiCGSTAB with its LU fallback:
+    (0.55, 0.7), gamma 0.99, 8001 nodes, the IDS(0.5) policy."""
 
     @pytest.fixture(scope="class")
     def case(self):
@@ -462,8 +471,14 @@ class TestSolveKernel:
 
     @staticmethod
     def lu_only(monkeypatch, fn):
+        """fn() with every BiCGSTAB attempt reporting non-convergence, so
+        each solve takes the LU fallback."""
+
+        def missed(A, b, x0=None, *, rtol, maxiter):
+            return np.zeros_like(b), maxiter, maxiter
+
         with monkeypatch.context() as m:
-            m.setattr(solver, "_KRYLOV_MIN_NODES", math.inf)
+            m.setattr(solver, "_bicgstab", missed)
             return fn()
 
     @staticmethod
@@ -504,13 +519,42 @@ class TestSolveKernel:
         for v in (x, x_sp):
             assert np.max(np.abs(v - lu)) <= cert(v) + cert(lu)
 
-    def test_gate_keeps_small_grids_on_lu(self, monkeypatch):
-        calls = self.spy(monkeypatch)
+    def test_small_grids_accept_bicgstab(self, monkeypatch):
+        # the paper's grids of 801 and 2001 nodes keep the BiCGSTAB
+        # iterate, which agrees with LU within both certificates
         prob = DiscountedProblem(BanditSpec(0.55, 0.7), 0.99)
+        for n in (801, 2001):
+            grid = BeliefGrid(n)
+            pol = ids_policy_on_grid(prob, grid, IdsConfig(alpha=0.5, gamma=prob.gamma))
+            with monkeypatch.context() as m:
+                calls = self.spy(m)
+                _, _, rounds = policy_iteration(prob, grid)
+                v = policy_evaluation(prob, pol).values
+            assert len(calls) == rounds + 1
+            assert all(c["info"] == 0 for c in calls)
+            call = calls[-1]
+            assert np.array_equal(v, call["x"])
+            lu = self.lu_only(monkeypatch, lambda: policy_evaluation(prob, pol)).values
+
+            def cert(u):
+                return np.max(np.abs(call["b"] - call["A"] @ u)) / (1.0 - prob.gamma)
+
+            assert 0.0 < cert(v) <= default_tolerance(prob.gamma)
+            assert np.max(np.abs(v - lu)) <= cert(v) + cert(lu)
+
+    def test_near_fair_coin_falls_back_within_certificate(self, monkeypatch):
+        # (0.5, 0.55) at gamma 0.999: BiCGSTAB misses on the IDS(0.5)
+        # policy of 2001 nodes, and the LU answer still meets tol
+        prob = DiscountedProblem(BanditSpec(0.5, 0.55), 0.999)
         grid = BeliefGrid(2001)
-        _, pol, _ = policy_iteration(prob, grid)
-        policy_evaluation(prob, pol)
-        assert calls == []
+        pol = ids_policy_on_grid(prob, grid, IdsConfig(alpha=0.5, gamma=prob.gamma))
+        calls = self.spy(monkeypatch)
+        v = policy_evaluation(prob, pol).values
+        (call,) = calls
+        assert call["info"] != 0
+        assert np.array_equal(v, self.lu_only(monkeypatch, lambda: policy_evaluation(prob, pol)).values)
+        cert = np.max(np.abs(call["b"] - call["A"] @ v)) / (1.0 - prob.gamma)
+        assert cert <= default_tolerance(prob.gamma)
 
     def test_value_within_certificate_of_lu(self, case, monkeypatch):
         prob, pol = case
