@@ -34,7 +34,7 @@ from .analytic import (
     fair_coin_value,
     symmetric_value,
 )
-from .bandit import BanditSpec, entropy
+from .bandit import BanditSpec
 from .errors import BanditError, InvalidManifest
 from .experiments import SweepManifest, run_manifest
 from .ids import (
@@ -85,13 +85,16 @@ def build_parser() -> argparse.ArgumentParser:
             "floor of the certificate); exit 3 if not met",
         )
         p.add_argument("--out", default=".", help="output directory")
-        p.add_argument("--format", choices=("csv", "json"), default="csv")
 
     p_solve = sub.add_parser("solve", help="optimal value, regret, and policy")
     add_problem_flags(p_solve)
 
     p_ids = sub.add_parser("ids", help="information-directed policy and its regret")
     add_problem_flags(p_ids, need_alpha=True)
+
+    # compare always writes compare.csv and compare_summary.json
+    for p in (p_solve, p_ids):
+        p.add_argument("--format", choices=("csv", "json"), default="csv")
 
     p_cmp = sub.add_parser("compare", help="grid solver against closed forms")
     add_problem_flags(p_cmp)

@@ -12,13 +12,11 @@ sweep.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 import numbers
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -113,6 +111,10 @@ class SweepManifest:
             raise InvalidManifest(
                 f"malformed manifest field symmetric: {symmetric!r} is not true or false"
             )
+        # str(None) is "None", a directory the sweep would then write to
+        out_dir = raw.get("out_dir", ".")
+        if not isinstance(out_dir, str):
+            raise InvalidManifest(f"malformed manifest field out_dir: {out_dir!r} is not a string")
         try:
             m = cls(
                 kind=raw.get("kind", ""),
@@ -124,7 +126,7 @@ class SweepManifest:
                 tol=None if raw.get("tol") is None else number("tol", raw["tol"]),
                 beta0=number("beta0", raw.get("beta0", 0.0)),
                 symmetric=symmetric,
-                out_dir=str(raw.get("out_dir", ".")),
+                out_dir=out_dir,
             )
         except (TypeError, ValueError) as exc:
             raise InvalidManifest(f"malformed manifest field: {exc}") from exc
@@ -193,6 +195,8 @@ class SweepManifest:
         return {k: list(v) if isinstance(v, tuple) else v for k, v in doc.items()}
 
     def digest(self) -> str:
+        import hashlib  # only a sweep's file name needs it, not start-up
+
         blob = json.dumps(self.canonical(), sort_keys=True).encode()
         return hashlib.sha256(blob).hexdigest()[:12]
 
@@ -272,7 +276,10 @@ def _heatmap_cell(args):
 def _run_jobs(jobs, worker, n_workers):
     if n_workers <= 1 or len(jobs) <= 1:
         return [worker(j) for j in jobs]
-    # the pool starts all its workers at the first submit, however few jobs
+    # imported here so that serial runs never load multiprocessing; the
+    # pool starts all its workers at the first submit, however few jobs
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=min(n_workers, len(jobs))) as pool:
         return list(pool.map(worker, jobs, chunksize=1))
 

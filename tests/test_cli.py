@@ -402,26 +402,52 @@ class TestSweep:
         rc = cli.main(["sweep", str(path)])
         assert rc == 2
 
+    def test_null_out_dir_exits_2(self, tmp_path, monkeypatch, capsys):
+        # str(None) would send the sweep to a directory named "None"
+        monkeypatch.chdir(tmp_path)
+        path = self.write_manifest(
+            tmp_path, {"kind": "curves", "theta_plus": [0.7], "gammas": [0.9],
+                       "grid": 101, "out_dir": None}
+        )
+        assert cli.main(["sweep", str(path)]) == 2
+        assert "out_dir" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["manifest.json"]
 
-def scipy_modules_after(code):
-    """scipy modules loaded once `code` has run in a fresh interpreter."""
+
+def modules_after(code, prefixes=("scipy",)):
+    """Modules under `prefixes` loaded once `code` has run in a fresh
+    interpreter."""
     probe = code + (
         "\nimport json, sys"
-        "\nprint(json.dumps(sorted(m for m in sys.modules if m.startswith('scipy'))))"
+        f"\nprefixes = {tuple(prefixes)!r}"
+        "\nprint(json.dumps(sorted(m for m in sys.modules"
+        " if any(m == p or m.startswith(p + '.') for p in prefixes))))"
     )
     proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout.splitlines()[-1])
 
 
+class TestStartupImports:
+    def test_cli_import_loads_no_pool_or_hashlib(self):
+        pool = ("concurrent.futures", "multiprocessing", "hashlib")
+        assert modules_after("import artifact.cli", pool) == []
+
+    def test_cli_import_loads_the_traced_modules(self):
+        # benchmarks/tracer.py looks these up in sys.modules after
+        # `import artifact.cli`, so deferring one breaks every traced run
+        traced = [f"artifact.{m}" for m in ("bandit", "experiments", "ids", "io", "solver")]
+        assert modules_after("import artifact.cli", traced) == traced
+
+
 class TestScipyLoadsOnlyToFactor:
     def test_imports_load_no_scipy(self):
-        assert scipy_modules_after("import artifact") == []
-        assert scipy_modules_after("import artifact.cli") == []
+        assert modules_after("import artifact") == []
+        assert modules_after("import artifact.cli") == []
 
     @staticmethod
-    def run_main(args):
-        return scipy_modules_after(f"from artifact.cli import main\nassert main({args!r}) == 0")
+    def run_main(args, prefixes=("scipy",)):
+        return modules_after(f"from artifact.cli import main\nassert main({args!r}) == 0", prefixes)
 
     @pytest.mark.parametrize("grid, lu", [(4001, False), (2001, False)])
     def test_ids_loads_scipy_for_lu_only(self, tmp_path, grid, lu):
@@ -451,7 +477,7 @@ class TestScipyLoadsOnlyToFactor:
             "kind": "alpha", "theta_minus": [0.55], "theta_plus": [0.7], "gammas": [0.99],
             "alphas": [0.0, 0.25, 0.5, 1.0], "grid": 801, "out_dir": str(tmp_path),
         }))
-        assert self.run_main(["sweep", str(manifest)]) == []
+        assert self.run_main(["sweep", str(manifest)], ("scipy", "multiprocessing")) == []
         (csv,) = tmp_path.glob("alpha_*.csv")
         assert len(csv.read_text().splitlines()) == 5
 
@@ -474,3 +500,15 @@ class TestParser:
     def test_subcommand_required(self, capsys):
         with pytest.raises(SystemExit):
             cli.build_parser().parse_args([])
+
+    def test_compare_rejects_format(self, tmp_path, capsys):
+        # compare writes CSV and JSON whatever is asked, so it takes no --format
+        args = [
+            "compare", "--theta-minus", "0.7", "--theta-plus", "0.7", "--gamma", "0.9",
+            "--grid", "201", "--out", str(tmp_path), "--format", "json",
+        ]
+        with pytest.raises(SystemExit) as exc:
+            cli.main(args)
+        assert exc.value.code == 2
+        assert "--format" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []

@@ -93,6 +93,12 @@ class TestManifestValidation:
             with pytest.raises(InvalidManifest, match="symmetric"):
                 make_manifest(symmetric=flag)
 
+    def test_rejects_non_string_out_dir(self):
+        # str() would turn null into a directory named "None"
+        for out_dir in (None, ["a", "b"], 3):
+            with pytest.raises(InvalidManifest, match="out_dir"):
+                make_manifest(out_dir=out_dir)
+
     def test_numeric_fields_take_only_json_numbers(self):
         # float(True) is 1.0 and float("0.7") parses, so each numeric field
         # must refuse a JSON boolean or string and name itself
@@ -454,7 +460,8 @@ class TestRunJobs:
             def map(self, fn, jobs, chunksize=1):
                 return map(fn, jobs)
 
-        monkeypatch.setattr(exp, "ProcessPoolExecutor", FakePool)
+        # _run_jobs imports the pool class only when it needs one
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", FakePool)
         assert exp._run_jobs([1, 2, 3], abs, 64) == [1, 2, 3]
         assert exp._run_jobs([1, 2], abs, 2) == [1, 2]
         assert seen == [3, 2]
