@@ -231,9 +231,11 @@ def _optimal_solve(prob, grid, tol):
     return v
 
 
-def _ids_regret_nodes(prob, grid, alpha):
-    policy = ids_policy_on_grid(prob, grid, IdsConfig(alpha=alpha, gamma=prob.gamma))
-    return regret_curve(prob, policy_evaluation(prob, policy)).values
+def _ids_regret_nodes(prob, vopt, alpha):
+    """IDS(alpha) regret per node on the grid of the optimal value `vopt`,
+    whose solve is warm-started from vopt."""
+    policy = ids_policy_on_grid(prob, vopt.grid, IdsConfig(alpha=alpha, gamma=prob.gamma))
+    return regret_curve(prob, policy_evaluation(prob, policy, x0=vopt)).values
 
 
 def _max_relative_excess(r_ids, r_opt):
@@ -247,9 +249,9 @@ def _max_relative_excess(r_ids, r_opt):
 
 def _relative_gap(tm, tp, gamma, alpha, n, tol):
     prob = DiscountedProblem(BanditSpec(tm, tp), gamma)
-    grid = BeliefGrid(n)
-    r_opt = regret_curve(prob, _optimal_solve(prob, grid, tol)).values
-    return _max_relative_excess(_ids_regret_nodes(prob, grid, alpha), r_opt)
+    vopt = _optimal_solve(prob, BeliefGrid(n), tol)
+    r_opt = regret_curve(prob, vopt).values
+    return _max_relative_excess(_ids_regret_nodes(prob, vopt, alpha), r_opt)
 
 
 def _curve_cell(args):
@@ -330,7 +332,7 @@ def regret_scaling_gamma(
             vopt = _optimal_solve(prob, gobj, tol)
             r_opt = float(mdp_value(prob, beta0) - vopt(beta0))
             policy = ids_policy_on_grid(prob, gobj, IdsConfig(alpha=0.0, gamma=prob.gamma))
-            vids = policy_evaluation(prob, policy)
+            vids = policy_evaluation(prob, policy, x0=vopt)
             r_ids = float(mdp_value(prob, beta0) - vids(beta0))
             result.rows.append((1.0 - float(g), r_opt, r_ids))
         except BanditError as exc:
@@ -373,17 +375,19 @@ def optimal_alpha_search(
 ) -> SweepResult:
     """Relative regret gap per alpha for one spec, with the argmin noted.
 
-    The optimal solve is shared across alphas; the gap curve need not be
-    monotone in alpha.
+    The optimal solve is shared across alphas, and every IDS evaluation
+    is warm-started from it, so no row depends on the order of the alphas;
+    the gap curve need not be monotone in alpha.
     """
     result = SweepResult("alpha", _COLUMNS["alpha"])
     prob = DiscountedProblem(BanditSpec(float(theta_minus), float(theta_plus)), float(gamma))
     gobj = BeliefGrid(int(grid))
     t0 = time.perf_counter()
-    r_opt = regret_curve(prob, _optimal_solve(prob, gobj, tol)).values
+    vopt = _optimal_solve(prob, gobj, tol)
+    r_opt = regret_curve(prob, vopt).values
     for a in alpha_grid:
         try:
-            gap = _max_relative_excess(_ids_regret_nodes(prob, gobj, float(a)), r_opt)
+            gap = _max_relative_excess(_ids_regret_nodes(prob, vopt, float(a)), r_opt)
             result.rows.append((float(a), gap))
         except BanditError as exc:
             result.failures.append({"row": [float(a)], "error": repr(exc)})

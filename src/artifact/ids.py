@@ -38,7 +38,7 @@ from .solver import (
     DiscountedProblem,
     PolicyTable,
     ValueFunction,
-    _Stencil,
+    _stencil,
     _policy_from_q,
     mdp_value,
     policy_evaluation,
@@ -339,4 +339,4 @@ def entropy_reduction_cost(prob: DiscountedProblem, policy: PolicyTable) -> np.n
     near the endpoints, where interpolating the entropy is worst.
     """
     h = entropy(policy.grid.nodes)
-    return _Stencil(prob, policy.grid).policy_system(policy.q) @ h
+    return _stencil(prob, policy.grid).policy_system(policy.q) @ h

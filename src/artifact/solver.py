@@ -12,16 +12,19 @@ reference value, regret curves, greedy policy extraction with boundary
 reporting, and enumeration of reachable beliefs.
 
 BiCGSTAB and the certificates apply the policy system as a numpy
-stencil product.  scipy.sparse is imported only where a sparse matrix is
-assembled, for an LU fallback or by policy_transition, so a run whose
-solves all converge under BiCGSTAB never loads scipy.
+stencil product, built once for the last (problem, grid) and shared by
+every call on it.  BiCGSTAB starts exact on the linear functions of
+beta, the two slowest modes of every policy system.  scipy.sparse is
+imported only where a sparse matrix is assembled, for an LU fallback or
+by policy_transition, so a run whose solves all converge under BiCGSTAB
+never loads scipy.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -205,6 +208,19 @@ class _Stencil:
         return _PolicySystem(self.cols, np.stack(data), self.prob.gamma)
 
 
+@lru_cache(maxsize=1)
+def _stencil(prob, grid):
+    """The _Stencil of (prob, grid), read-only.  A command or a sweep row
+    solves, evaluates and certifies on one problem and grid, so the last
+    (prob, grid) is kept."""
+    st = _Stencil(prob, grid)
+    for table in (st.p, st.j, st.t):
+        for arr in table.values():
+            arr.flags.writeable = False
+    st.cols.flags.writeable = False
+    return st
+
+
 class _PolicySystem:
     """I - gamma*M for one policy, held as its stencil: row i of M has
     weight data[k, i] in column cols[k, i].  Products need numpy alone;
@@ -264,8 +280,10 @@ def _resolve_tol(gamma, tol):
 # (0.55, 0.7), gamma 0.99, against 116 ms for BiCGSTAB on the numpy
 # stencil product), and its first call costs about 0.2 s to load
 # scipy.sparse.linalg.  The stopping rule never reads the caller's tol.
-# The cap sits above the 60-160 iterations of informative specs and
-# bounds an attempt near a fair coin, where BiCGSTAB can miss.
+# Started on the slow modes, informative specs take 40-120 iterations at
+# N 2001 up to gamma 0.9999; the cap bounds an attempt near a fair coin,
+# where BiCGSTAB can still miss (IDS(0.5) of (0.5, 0.7) at gamma 0.999
+# needs 287).
 _KRYLOV_RTOL = 1e-13
 _KRYLOV_MAXITER = 200
 
@@ -280,7 +298,7 @@ def _bicgstab(A, b, x0=None, *, rtol, maxiter):
     ran out, and -10 or -11 on a rho or omega breakdown; iterations
     counts the completed iterations, not a last half step.
     """
-    bnrm2 = np.linalg.norm(b)
+    bnrm2 = math.sqrt(b.dot(b))
     if bnrm2 == 0.0:
         return np.zeros_like(b), 0, 0
     atol = rtol * bnrm2
@@ -291,7 +309,7 @@ def _bicgstab(A, b, x0=None, *, rtol, maxiter):
     rtilde = r.copy()
     rho_prev = omega = alpha = p = v = None
     for k in range(maxiter):
-        if np.linalg.norm(r) < atol:
+        if math.sqrt(r.dot(r)) < atol:
             return x, 0, k
         rho = np.dot(rtilde, r)
         if abs(rho) < breakdown:
@@ -311,7 +329,7 @@ def _bicgstab(A, b, x0=None, *, rtol, maxiter):
             return x, -11, k
         alpha = rho / rv
         r -= alpha * v
-        if np.linalg.norm(r) < atol:
+        if math.sqrt(r.dot(r)) < atol:
             x += alpha * p
             return x, 0, k
         # r is scipy's s here: the residual after the half step
@@ -324,15 +342,29 @@ def _bicgstab(A, b, x0=None, *, rtol, maxiter):
     return x, maxiter, maxiter
 
 
+def _linear_part(f, nodes):
+    """The linear function of beta through f[0] at -1 and f[-1] at +1."""
+    return f[0] * (1.0 - nodes) / 2.0 + f[-1] * (1.0 + nodes) / 2.0
+
+
 def _solve_policy(st, q, per_node, tol, x0=None, krylov=True):
     """Solve the policy equation (I - gamma*M_q) v = per_node.
 
     Returns (v, certificate, iterations, method); the certificate
     ||per_node - A v|| / (1-gamma) bounds ||v - v_q|| (Puterman 1994,
-    ch. 6).  A BiCGSTAB iterate (from x0; krylov=False skips it) is kept
-    only when it converged and its certificate meets min(tol,
+    ch. 6).  A BiCGSTAB iterate (krylov=False skips it) is kept only when
+    it converged and its certificate meets min(tol,
     default_tolerance(gamma)); otherwise LU solves the system, counted as
     one iteration.
+
+    BiCGSTAB starts exact on the two slowest modes.  Linear functions of
+    beta are eigenvectors of A with eigenvalue 1 - gamma: rows of M sum
+    to 1, interpolation keeps linear functions and the belief is a
+    martingale.  Rows 0 and n-1 of M are unit rows (certainty absorbs),
+    so the vectors that vanish at both ends form an invariant complement.
+    The start linear(per_node)/(1-gamma), plus x0 - linear(x0) when x0 is
+    given, leaves a residual in that complement, which deflates both
+    modes (Saad, Iterative Methods for Sparse Linear Systems, 2003).
     """
     A = st.policy_system(q)
     gamma = st.prob.gamma
@@ -342,7 +374,11 @@ def _solve_policy(st, q, per_node, tol, x0=None, krylov=True):
 
     method = "LU"
     if krylov:
-        v, info, iterations = _bicgstab(A, per_node, x0=x0, rtol=_KRYLOV_RTOL,
+        nodes = st.grid.nodes
+        start = _linear_part(per_node, nodes) / (1.0 - gamma)
+        if x0 is not None:
+            start += x0 - _linear_part(x0, nodes)
+        v, info, iterations = _bicgstab(A, per_node, x0=start, rtol=_KRYLOV_RTOL,
                                         maxiter=_KRYLOV_MAXITER)
         if info == 0:
             cert = certificate(v)
@@ -355,7 +391,7 @@ def _solve_policy(st, q, per_node, tol, x0=None, krylov=True):
 
 def bellman_backup(v: ValueFunction, prob: DiscountedProblem) -> ValueFunction:
     """One application of the Bellman operator to v on its own grid."""
-    st = _Stencil(prob, v.grid)
+    st = _stencil(prob, v.grid)
     return ValueFunction(v.grid, st.backup(v.values))
 
 
@@ -394,7 +430,7 @@ def value_iteration(
     """
     gamma = prob.gamma
     tol = _resolve_tol(gamma, tol)
-    st = _Stencil(prob, grid)
+    st = _stencil(prob, grid)
     v = np.zeros(grid.n_points)
     if gamma == 0.0:
         # the operator ignores its argument, so one sweep is exact
@@ -427,13 +463,13 @@ def _resolve_costs(cost, grid):
     return c
 
 
-def _certified_solve(st, qdist, per_node, tol, method, what):
+def _certified_solve(st, qdist, per_node, tol, method, what, x0=None):
     """Solve v = per_node + gamma * M_pi v by _solve_policy and raise
     IterationLimit when its certificate misses tol."""
     if method != "direct":
         raise ValueError(f"unknown method {method!r}")
     tol = _resolve_tol(st.prob.gamma, tol)
-    v, cert, iterations, how = _solve_policy(st, qdist, per_node, tol)
+    v, cert, iterations, how = _solve_policy(st, qdist, per_node, tol, x0)
     if cert > tol:
         raise IterationLimit(
             f"{what}: certified error {cert:.3g} of the {how} solve exceeds tol={tol:g}",
@@ -448,6 +484,8 @@ def policy_evaluation(
     policy: PolicyTable,
     tol: float | None = None,
     method: str = "direct",
+    *,
+    x0: ValueFunction | None = None,
 ) -> ValueFunction:
     """Discounted value of a fixed (possibly stochastic) policy.
 
@@ -457,13 +495,18 @@ def policy_evaluation(
     IterationLimit when that bound misses tol (default
     default_tolerance(gamma)).
 
+    `x0`, a value on the policy's grid such as the optimal value, is a
+    warm start for BiCGSTAB; the result is certified the same way.
     There is one method.  `method` accepts only "direct", its name, so
     that existing callers which pass it keep working; any other value
     raises ValueError.
     """
-    st = _Stencil(prob, policy.grid)
+    if x0 is not None and x0.grid != policy.grid:
+        raise ValueError("x0 must lie on the policy's grid")
+    st = _stencil(prob, policy.grid)
     rpi = st.policy_reward(policy.q)
-    return _certified_solve(st, policy.q, rpi, tol, method, "policy evaluation")
+    return _certified_solve(st, policy.q, rpi, tol, method, "policy evaluation",
+                            None if x0 is None else x0.values)
 
 
 def evaluate_cost(
@@ -482,7 +525,7 @@ def evaluate_cost(
     solved and certified against tol as in policy_evaluation, which also
     says why `method` is accepted.
     """
-    st = _Stencil(prob, policy.grid)
+    st = _stencil(prob, policy.grid)
     c = _resolve_costs(cost, policy.grid)
     return _certified_solve(st, policy.q, c, tol, method, "cost evaluation")
 
@@ -500,8 +543,9 @@ def policy_iteration(
     iteration when gamma is close to 1.  Near a fair coin the boundary
     ends far from the myopic start and moves one or two nodes per round,
     so the default budget is one round per grid node.  Evaluations use
-    the one certified solve of policy_evaluation, BiCGSTAB warm-started,
-    and stay on LU after the first round that falls back to it.
+    the one certified solve of policy_evaluation, BiCGSTAB warm-started
+    from the previous round, and stay on LU after the first round that
+    falls back to it.
 
     Returns (ValueFunction, PolicyTable, rounds).  The value is the grid
     optimum up to the error of the linear solves; certify_optimal bounds
@@ -509,7 +553,7 @@ def policy_iteration(
     """
     if max_rounds is None:
         max_rounds = grid.n_points
-    st = _Stencil(prob, grid)
+    st = _stencil(prob, grid)
     tol = default_tolerance(prob.gamma)
     qd = st.greedy(np.zeros(grid.n_points))
     v, krylov = None, True
@@ -537,7 +581,7 @@ def certify_optimal(
     (default default_tolerance(gamma)).
     """
     tol = _resolve_tol(prob.gamma, tol)
-    st = _Stencil(prob, v.grid)
+    st = _stencil(prob, v.grid)
     bound = float(np.max(np.abs(st.backup(v.values) - v.values))) / (1.0 - prob.gamma)
     if bound > tol:
         raise IterationLimit(
@@ -550,7 +594,7 @@ def certify_optimal(
 def policy_transition(prob: DiscountedProblem, policy: PolicyTable):
     """Row-stochastic sparse transition matrix of the belief chain under
     the policy, with interpolation weights as sub-transitions."""
-    return _Stencil(prob, policy.grid).policy_system(policy.q).transition()
+    return _stencil(prob, policy.grid).policy_system(policy.q).transition()
 
 
 def mdp_value(prob: DiscountedProblem, beta):
@@ -597,7 +641,7 @@ def extract_greedy_policy(prob: DiscountedProblem, v: ValueFunction) -> PolicyTa
     """Greedy policy of v, with ties broken toward the larger immediate
     reward and then toward arm +1.  The boundary field is filled when the
     preference flips exactly once."""
-    st = _Stencil(prob, v.grid)
+    st = _stencil(prob, v.grid)
     return _policy_from_q(v.grid, st.greedy(v.values))
 
 

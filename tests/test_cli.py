@@ -471,6 +471,18 @@ class TestScipyLoadsOnlyToFactor:
         assert summary["grid_points"] == 2001
         assert summary["error_bound"] <= summary["tolerance"]
 
+    @pytest.mark.parametrize("command", [["solve"], ["ids", "--alpha", "0.5"]])
+    def test_slow_modes_converge_at_gamma_near_one(self, tmp_path, command):
+        # started on the exact linear modes, BiCGSTAB converges where a cold
+        # start used up its 200 iterations and fell back to LU
+        args = command + [
+            "--theta-minus", "0.55", "--theta-plus", "0.7", "--gamma", "0.9999",
+            "--grid", "2001", "--out", str(tmp_path),
+        ]
+        assert self.run_main(args) == []
+        (summary,) = tmp_path.glob("*summary.json")
+        assert json.loads(summary.read_text())["grid_points"] == 2001
+
     def test_alpha_sweep_loads_no_scipy(self, tmp_path):
         manifest = tmp_path / "manifest.json"
         manifest.write_text(json.dumps({
@@ -485,7 +497,7 @@ class TestScipyLoadsOnlyToFactor:
         # near a fair coin BiCGSTAB misses the certificate on the IDS(0.5)
         # policy, LU takes over, and the command exits 0 only if LU meets it
         args = [
-            "ids", "--theta-minus", "0.5", "--theta-plus", "0.55", "--gamma", "0.999",
+            "ids", "--theta-minus", "0.5", "--theta-plus", "0.7", "--gamma", "0.999",
             "--alpha", "0.5", "--grid", "2001", "--out", str(tmp_path),
         ]
         assert "scipy.sparse.linalg" in self.run_main(args)

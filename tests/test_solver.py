@@ -543,9 +543,9 @@ class TestSolveKernel:
             assert np.max(np.abs(v - lu)) <= cert(v) + cert(lu)
 
     def test_near_fair_coin_falls_back_within_certificate(self, monkeypatch):
-        # (0.5, 0.55) at gamma 0.999: BiCGSTAB misses on the IDS(0.5)
+        # (0.5, 0.7) at gamma 0.999: BiCGSTAB misses on the IDS(0.5)
         # policy of 2001 nodes, and the LU answer still meets tol
-        prob = DiscountedProblem(BanditSpec(0.5, 0.55), 0.999)
+        prob = DiscountedProblem(BanditSpec(0.5, 0.7), 0.999)
         grid = BeliefGrid(2001)
         pol = ids_policy_on_grid(prob, grid, IdsConfig(alpha=0.5, gamma=prob.gamma))
         calls = self.spy(monkeypatch)
@@ -617,7 +617,10 @@ class TestSolveKernel:
         v, pol_k, k = policy_iteration(prob, grid)
         assert k == k_lu and len(calls) == k
         assert np.array_equal(pol_k.q, pol_lu.q)
-        assert calls[0]["x0"] is None
+        # round 1 starts exact on the linear functions of beta
+        b, nodes = calls[0]["b"], grid.nodes
+        linear = b[0] * (1.0 - nodes) / 2.0 + b[-1] * (1.0 + nodes) / 2.0
+        assert np.array_equal(calls[0]["x0"], linear / (1.0 - prob.gamma))
         assert all(c["x0"] is not None for c in calls[1:])
         assert certify_optimal(prob, v) <= default_tolerance(prob.gamma)
         assert np.max(np.abs(v.values - v_lu.values)) <= default_tolerance(prob.gamma)
@@ -631,6 +634,88 @@ class TestSolveKernel:
         assert k == k_lu > 1 and len(calls) == 1
         assert np.array_equal(v.values, v_lu.values)
         assert np.array_equal(pol_k.q, pol_lu.q)
+
+
+SLOW_MODE_SPECS = [(0.55, 0.7), (0.7, 0.7), (0.5, 0.55), (0.5, 0.5), (0.0, 1.0),
+                   (1.0, 0.0), (0.2, 0.45), (0.3, 0.9)]
+
+
+class TestSlowModes:
+    """The two modes BiCGSTAB starts exact on: linear functions of beta
+    are eigenvectors of A = I - gamma*M with eigenvalue 1 - gamma, and
+    rows 0 and n-1 of M are unit rows."""
+
+    @pytest.mark.parametrize("gamma", [0.0, 0.9, 0.9999])
+    @pytest.mark.parametrize("tm, tp", SLOW_MODE_SPECS)
+    def test_linear_functions_are_eigenvectors(self, tm, tp, gamma):
+        prob = DiscountedProblem(BanditSpec(tm, tp), gamma)
+        grid = BeliefGrid(201)
+        q = np.random.default_rng(5).uniform(0.0, 1.0, grid.n_points)
+        A = solver._stencil(prob, grid).policy_system(q)
+        for c0, c1 in ((1.0, 1.0), (0.0, 1.0), (-3.0, 7.5)):
+            f = solver._linear_part(np.array([c0, c1]), grid.nodes)
+            assert f[0] == c0 and f[-1] == c1
+            atol = 8 * np.finfo(float).eps * np.max(np.abs(f))
+            np.testing.assert_allclose(A @ f, (1.0 - gamma) * f, rtol=0.0, atol=atol)
+        M = policy_transition(prob, PolicyTable(grid, q)).toarray()
+        unit = np.eye(grid.n_points)
+        assert np.array_equal(M[0], unit[0])
+        assert np.array_equal(M[-1], unit[-1])
+
+    def test_start_residual_vanishes_at_both_ends(self, monkeypatch):
+        # with or without a warm start, the first residual of every
+        # solve lies in the complement that vanishes at beta = -1 and 1
+        prob = DiscountedProblem(BanditSpec(0.55, 0.7), 0.9999)
+        grid = BeliefGrid(2001)
+        calls = TestSolveKernel.spy(monkeypatch)
+        v, _, rounds = policy_iteration(prob, grid)
+        pol = ids_policy_on_grid(prob, grid, IdsConfig(alpha=0.5, gamma=prob.gamma))
+        policy_evaluation(prob, pol, x0=v)
+        # a warm start that is no policy value keeps only its part that
+        # vanishes at both ends
+        noise = np.random.default_rng(3).normal(size=grid.n_points)
+        policy_evaluation(prob, pol, x0=ValueFunction(grid, v.values + 100.0 * noise))
+        assert len(calls) == rounds + 2
+        for c in calls:
+            res = c["b"] - c["A"] @ c["x0"]
+            ulp = 8 * np.finfo(float).eps * np.max(np.abs(c["x0"]))
+            assert abs(res[0]) <= ulp and abs(res[-1]) <= ulp
+            assert c["info"] == 0
+
+    @pytest.mark.parametrize(
+        "tm, tp, gamma, n",
+        [(0.55, 0.7, 0.99, 801), (0.55, 0.7, 0.9999, 2001), (0.5, 0.7, 0.99, 801)],
+    )
+    def test_warm_start_from_optimum_agrees_with_cold_solve(self, tm, tp, gamma, n, monkeypatch):
+        prob = DiscountedProblem(BanditSpec(tm, tp), gamma)
+        grid = BeliefGrid(n)
+        v_opt, _, _ = policy_iteration(prob, grid)
+        pol = ids_policy_on_grid(prob, grid, IdsConfig(alpha=0.5, gamma=gamma))
+        calls = TestSolveKernel.spy(monkeypatch)
+        cold = policy_evaluation(prob, pol).values
+        warm = policy_evaluation(prob, pol, x0=v_opt).values
+        cold_call, warm_call = calls
+        assert not np.array_equal(warm_call["x0"], cold_call["x0"])
+        A, b = cold_call["A"], cold_call["b"]
+
+        def cert(u):
+            return np.max(np.abs(b - A @ u)) / (1.0 - gamma)
+
+        assert max(cert(cold), cert(warm)) <= default_tolerance(gamma)
+        assert np.max(np.abs(warm - cold)) <= cert(warm) + cert(cold)
+
+    def test_warm_start_must_share_the_grid(self):
+        prob = DiscountedProblem(BanditSpec(0.55, 0.7), 0.9)
+        pol = ids_policy_on_grid(prob, BeliefGrid(201), IdsConfig(alpha=0.5, gamma=0.9))
+        with pytest.raises(ValueError, match="grid"):
+            policy_evaluation(prob, pol, x0=ValueFunction(BeliefGrid(101), np.zeros(101)))
+
+    def test_shared_stencil_is_read_only(self):
+        prob = DiscountedProblem(BanditSpec(0.55, 0.7), 0.9)
+        st = solver._stencil(prob, BeliefGrid(201))
+        assert solver._stencil(prob, BeliefGrid(201)) is st
+        arrays = [*st.p.values(), *st.j.values(), *st.t.values(), st.cols]
+        assert not any(a.flags.writeable for a in arrays)
 
 
 class TestReachableBeliefs:
