@@ -3,11 +3,13 @@
 Four sweep kinds are supported: regret-versus-theta curves, regret
 scaling as gamma approaches one, relative-regret heatmaps over arm
 parameters, and a search over the ratio exponent alpha.  Sweeps are
-described by a JSON manifest, rows are independent jobs that a process
-pool may run concurrently, and the pipeline contains no randomness, so
-identical manifests produce byte-identical CSV files.  Rows that fail
-inside the solver are recorded as failures rather than aborting the
-sweep.
+described by a JSON manifest.  Every kind runs its rows through one
+path, `_sweep`: a row is its key followed by what the kind's cell
+returns, rows are independent jobs that a process pool may run
+concurrently, and the pipeline contains no randomness, so identical
+manifests produce byte-identical CSV files whatever the worker count.
+A row whose cell raises a solver error is recorded as a failure rather
+than aborting the sweep.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ import numbers
 import os
 import time
 from dataclasses import dataclass, field, fields
+from functools import lru_cache
 
 import numpy as np
 
@@ -222,57 +225,58 @@ def resolve_workers(n_workers=None) -> int:
     return 1
 
 
+@lru_cache(maxsize=1)
 def _optimal_solve(prob, grid, tol):
     """Optimal value on the grid by policy iteration, certified by one
     Bellman backup; raises IterationLimit when the certified error exceeds
-    tol (default default_tolerance(gamma))."""
+    tol (default default_tolerance(gamma)).  The value of the last (prob,
+    grid, tol) is kept read-only, so the rows of an alpha sweep share one
+    solve; a failure is not kept, so every row meets it again."""
     v, _, _ = policy_iteration(prob, grid)
     certify_optimal(prob, v, tol)
+    v.values.flags.writeable = False
     return v
 
 
-def _ids_regret_nodes(prob, vopt, alpha):
-    """IDS(alpha) regret per node on the grid of the optimal value `vopt`,
-    whose solve is warm-started from vopt."""
-    policy = ids_policy_on_grid(prob, vopt.grid, IdsConfig(alpha=alpha, gamma=prob.gamma))
-    return regret_curve(prob, policy_evaluation(prob, policy, x0=vopt)).values
+def _curve_cell(theta, gamma, symmetric, n, tol):
+    prob = DiscountedProblem(BanditSpec(theta if symmetric else 0.5, theta), gamma)
+    r = regret_curve(prob, _optimal_solve(prob, BeliefGrid(n), tol)).values
+    return (float(np.max(r)) if symmetric else float(r[(n - 1) // 2]),)
 
 
-def _max_relative_excess(r_ids, r_opt):
-    """Max relative excess of the IDS regret over the optimal regret,
-    taken over beliefs whose optimal regret clears the floor."""
-    mask = r_opt > max(1e-6, 1e-4 * float(np.max(r_opt)))
-    if not np.any(mask):
-        return 0.0
-    return float(np.max((r_ids[mask] - r_opt[mask]) / r_opt[mask]))
+def _scaling_cell(spec, gamma, beta0, n, tol):
+    """Optimal and IDS(0) regret at beta0."""
+    prob = DiscountedProblem(spec, gamma)
+    vopt = _optimal_solve(prob, BeliefGrid(n), tol)
+    policy = ids_policy_on_grid(prob, vopt.grid, IdsConfig(alpha=0.0, gamma=gamma))
+    vids = policy_evaluation(prob, policy, x0=vopt)
+    v_mdp = mdp_value(prob, beta0)
+    return float(v_mdp - vopt(beta0)), float(v_mdp - vids(beta0))
 
 
-def _relative_gap(tm, tp, gamma, alpha, n, tol):
+def _gap_cell(tm, tp, gamma, alpha, n, tol):
+    """Max relative excess of the IDS(alpha) regret over the optimal
+    regret, taken over beliefs whose optimal regret clears the floor.  The
+    IDS evaluation is warm-started from the optimal value."""
     prob = DiscountedProblem(BanditSpec(tm, tp), gamma)
     vopt = _optimal_solve(prob, BeliefGrid(n), tol)
     r_opt = regret_curve(prob, vopt).values
-    return _max_relative_excess(_ids_regret_nodes(prob, vopt, alpha), r_opt)
+    policy = ids_policy_on_grid(prob, vopt.grid, IdsConfig(alpha=alpha, gamma=gamma))
+    r_ids = regret_curve(prob, policy_evaluation(prob, policy, x0=vopt)).values
+    mask = r_opt > max(1e-6, 1e-4 * float(np.max(r_opt)))
+    if not np.any(mask):
+        return (0.0,)
+    return (float(np.max((r_ids[mask] - r_opt[mask]) / r_opt[mask])),)
 
 
-def _curve_cell(args):
-    theta, gamma, symmetric, n, tol = args
-    tm = theta if symmetric else 0.5
-    prob = DiscountedProblem(BanditSpec(tm, theta), gamma)
-    grid = BeliefGrid(n)
+def _guarded(job):
+    """One row: its key followed by what its cell returns, or a failure
+    record of the key when the cell raises a BanditError."""
+    cell, key, args = job
     try:
-        r = regret_curve(prob, _optimal_solve(prob, grid, tol)).values
-        metric = float(np.max(r)) if symmetric else float(r[(n - 1) // 2])
-        return (theta, gamma, metric), None
+        return key + cell(*args)
     except BanditError as exc:
-        return (theta, gamma, None), repr(exc)
-
-
-def _heatmap_cell(args):
-    tm, tp, gamma, alpha, n, tol = args
-    try:
-        return (tm, tp, _relative_gap(tm, tp, gamma, alpha, n, tol)), None
-    except BanditError as exc:
-        return (tm, tp, None), repr(exc)
+        return {"row": list(key), "error": repr(exc)}
 
 
 def _run_jobs(jobs, worker, n_workers):
@@ -286,13 +290,18 @@ def _run_jobs(jobs, worker, n_workers):
         return list(pool.map(worker, jobs, chunksize=1))
 
 
-def _collect(result, outputs):
-    for row, err in outputs:
-        if err is None:
-            result.rows.append(row)
-        else:
-            result.failures.append({"row": list(row[:-1]), "error": err})
+def _sweep(kind, cell, jobs, n_workers, **meta):
+    """Run the (key, args) jobs of one sweep kind through `cell`, keep the
+    rows sorted and the failures in job order, and time them."""
+    result = SweepResult(kind, _COLUMNS[kind])
+    t0 = time.perf_counter()
+    tagged = [(cell, key, args) for key, args in jobs]
+    for out in _run_jobs(tagged, _guarded, resolve_workers(n_workers)):
+        (result.failures if isinstance(out, dict) else result.rows).append(out)
     result.rows.sort()
+    result.meta["elapsed_s"] = round(time.perf_counter() - t0, 3)
+    result.meta.update(meta)
+    return result
 
 
 def max_regret_vs_theta(
@@ -304,42 +313,23 @@ def max_regret_vs_theta(
     (theta, theta); otherwise the minus arm is a fair coin and the metric
     is the regret at beta = 0.
     """
-    result = SweepResult("curves", _COLUMNS["curves"])
     jobs = [
-        (float(th), float(g), bool(symmetric), int(grid), tol)
-        for th in theta_grid
-        for g in gammas
+        ((th, g), (th, g, bool(symmetric), int(grid), tol))
+        for th in map(float, theta_grid)
+        for g in map(float, gammas)
     ]
-    t0 = time.perf_counter()
-    _collect(result, _run_jobs(jobs, _curve_cell, resolve_workers(n_workers)))
-    result.meta["elapsed_s"] = round(time.perf_counter() - t0, 3)
-    result.meta["symmetric"] = bool(symmetric)
-    return result
+    return _sweep("curves", _curve_cell, jobs, n_workers, symmetric=bool(symmetric))
 
 
 def regret_scaling_gamma(
-    spec: BanditSpec, gammas, beta0=0.0, grid=801, tol=None
+    spec: BanditSpec, gammas, beta0=0.0, grid=801, tol=None, n_workers=None
 ) -> SweepResult:
     """Optimal and IDS(0) regret at beta0 for each gamma, plus two-term
-    logarithmic fits of both columns when enough rows survive."""
-    result = SweepResult("scaling", _COLUMNS["scaling"])
-    n = int(grid)
-    gobj = BeliefGrid(n)
-    t0 = time.perf_counter()
-    for g in gammas:
-        prob = DiscountedProblem(spec, float(g))
-        try:
-            vopt = _optimal_solve(prob, gobj, tol)
-            r_opt = float(mdp_value(prob, beta0) - vopt(beta0))
-            policy = ids_policy_on_grid(prob, gobj, IdsConfig(alpha=0.0, gamma=prob.gamma))
-            vids = policy_evaluation(prob, policy, x0=vopt)
-            r_ids = float(mdp_value(prob, beta0) - vids(beta0))
-            result.rows.append((1.0 - float(g), r_opt, r_ids))
-        except BanditError as exc:
-            result.failures.append({"row": [1.0 - float(g)], "error": repr(exc)})
-    result.rows.sort()
-    result.meta["elapsed_s"] = round(time.perf_counter() - t0, 3)
-    if len(result.rows) >= 3:
+    logarithmic fits of both columns when the rows that survive hold at
+    least three distinct gammas."""
+    jobs = [((1.0 - g,), (spec, g, beta0, int(grid), tol)) for g in map(float, gammas)]
+    result = _sweep("scaling", _scaling_cell, jobs, n_workers)
+    if len({row[0] for row in result.rows}) >= 3:
         for label, col in (("fit_opt", 1), ("fit_ids0", 2)):
             fit = fit_log_regret_expansion(
                 [(1.0 - row[0], row[col]) for row in result.rows]
@@ -356,43 +346,28 @@ def delta_R_heatmap(
     theta_minus_grid, theta_plus_grid, gamma, alpha, grid=801, tol=None, n_workers=None
 ) -> SweepResult:
     """Relative IDS regret gap on the cross product of the theta grids."""
-    result = SweepResult("heatmap", _COLUMNS["heatmap"])
+    gamma, alpha = float(gamma), float(alpha)
     jobs = [
-        (float(tm), float(tp), float(gamma), float(alpha), int(grid), tol)
-        for tm in theta_minus_grid
-        for tp in theta_plus_grid
+        ((tm, tp), (tm, tp, gamma, alpha, int(grid), tol))
+        for tm in map(float, theta_minus_grid)
+        for tp in map(float, theta_plus_grid)
     ]
-    t0 = time.perf_counter()
-    _collect(result, _run_jobs(jobs, _heatmap_cell, resolve_workers(n_workers)))
-    result.meta["elapsed_s"] = round(time.perf_counter() - t0, 3)
-    result.meta["gamma"] = float(gamma)
-    result.meta["alpha"] = float(alpha)
-    return result
+    return _sweep("heatmap", _gap_cell, jobs, n_workers, gamma=gamma, alpha=alpha)
 
 
 def optimal_alpha_search(
-    theta_minus, theta_plus, gamma, alpha_grid, grid=801, tol=None
+    theta_minus, theta_plus, gamma, alpha_grid, grid=801, tol=None, n_workers=None
 ) -> SweepResult:
     """Relative regret gap per alpha for one spec, with the argmin noted.
 
-    The optimal solve is shared across alphas, and every IDS evaluation
-    is warm-started from it, so no row depends on the order of the alphas;
+    Each row is a heatmap cell at its alpha.  The rows share one optimal
+    solve per process, and every IDS evaluation is warm-started from it,
+    so no row depends on the order of the alphas or on the worker count;
     the gap curve need not be monotone in alpha.
     """
-    result = SweepResult("alpha", _COLUMNS["alpha"])
-    prob = DiscountedProblem(BanditSpec(float(theta_minus), float(theta_plus)), float(gamma))
-    gobj = BeliefGrid(int(grid))
-    t0 = time.perf_counter()
-    vopt = _optimal_solve(prob, gobj, tol)
-    r_opt = regret_curve(prob, vopt).values
-    for a in alpha_grid:
-        try:
-            gap = _max_relative_excess(_ids_regret_nodes(prob, vopt, float(a)), r_opt)
-            result.rows.append((float(a), gap))
-        except BanditError as exc:
-            result.failures.append({"row": [float(a)], "error": repr(exc)})
-    result.rows.sort()
-    result.meta["elapsed_s"] = round(time.perf_counter() - t0, 3)
+    tm, tp, gamma = float(theta_minus), float(theta_plus), float(gamma)
+    jobs = [((a,), (tm, tp, gamma, a, int(grid), tol)) for a in map(float, alpha_grid)]
+    result = _sweep("alpha", _gap_cell, jobs, n_workers)
     if result.rows:
         best = min(result.rows, key=lambda r: (r[1], r[0]))
         result.meta["alpha_star"] = best[0]
@@ -420,6 +395,7 @@ def run_manifest(manifest: SweepManifest, n_workers=None) -> dict:
             beta0=manifest.beta0,
             grid=manifest.grid,
             tol=manifest.tol,
+            n_workers=workers,
         )
     elif manifest.kind == "heatmap":
         result = delta_R_heatmap(
@@ -439,6 +415,7 @@ def run_manifest(manifest: SweepManifest, n_workers=None) -> dict:
             manifest.alphas,
             grid=manifest.grid,
             tol=manifest.tol,
+            n_workers=workers,
         )
     os.makedirs(manifest.out_dir, exist_ok=True)
     stem = f"{manifest.kind}_{manifest.digest()}"

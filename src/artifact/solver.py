@@ -538,9 +538,12 @@ def policy_iteration(
     """Howard policy iteration with direct-solve evaluations.
 
     Starts from the myopic greedy policy and alternates exact evaluation
-    with greedy improvement until the policy stops changing.  Settles in a
-    handful of rounds on informative arms and is far cheaper than value
-    iteration when gamma is close to 1.  Near a fair coin the boundary
+    with greedy improvement until the policy stops changing.  A node
+    switches arm only where the other arm's q leads by more than the
+    rounding of a backup can explain, so arms with the same law up to
+    rounding, theta_minus = 1 - theta_plus, settle instead of flipping on
+    float noise.  Settles in a handful of rounds on informative arms and
+    is far cheaper than value iteration when gamma is close to 1.  Near a fair coin the boundary
     ends far from the myopic start and moves one or two nodes per round,
     so the default budget is one round per grid node.  Evaluations use
     the one certified solve of policy_evaluation, BiCGSTAB warm-started
@@ -561,7 +564,13 @@ def policy_iteration(
         v, _, _, how = _solve_policy(st, qd, st.policy_reward(qd), tol, v, krylov)
         # the next policy differs in a few nodes, so a miss predicts a miss
         krylov = how == "BiCGSTAB"
-        qd2 = st.greedy(v)
+        # one backup rounds q values of size 1/(1-gamma) by about
+        # eps/(1-gamma) (default_tolerance), so a node switches arm only
+        # where the other arm leads by more than 8 times that; a smaller
+        # lead stays under the certificate's float floor
+        q = st.q_values(v)
+        clear = np.abs(q[1] - q[-1]) > 8.0 * np.finfo(float).eps / (1.0 - prob.gamma)
+        qd2 = np.where(clear, (q[1] > q[-1]).astype(float), qd)
         if np.array_equal(qd2, qd):
             return ValueFunction(grid, v), _policy_from_q(grid, qd), k
         qd = qd2

@@ -22,6 +22,32 @@ from artifact.experiments import (
 from artifact.solver import BeliefGrid, DiscountedProblem, mdp_value, policy_iteration
 
 
+# one small manifest of every sweep kind, each with more than one row
+KIND_MANIFESTS = {
+    "curves": {"kind": "curves", "theta_plus": [0.6, 0.7], "gammas": [0.9]},
+    "scaling": {
+        "kind": "scaling",
+        "theta_minus": [0.5],
+        "theta_plus": [0.55],
+        "gammas": [0.9, 0.95, 0.99],
+    },
+    "heatmap": {
+        "kind": "heatmap",
+        "theta_minus": [0.6, 0.7],
+        "theta_plus": [0.6, 0.7],
+        "gammas": [0.9],
+        "alphas": [0.5],
+    },
+    "alpha": {
+        "kind": "alpha",
+        "theta_minus": [0.55],
+        "theta_plus": [0.7],
+        "gammas": [0.9],
+        "alphas": [0.0, 0.5, 1.0],
+    },
+}
+
+
 def make_manifest(**overrides):
     raw = {
         "kind": "curves",
@@ -297,6 +323,11 @@ class TestScaling:
         r = regret_scaling_gamma(BanditSpec(0.5, 0.55), (0.9, 0.99), grid=201)
         assert "fit_opt" not in r.meta
 
+    def test_fit_needs_three_distinct_gammas(self):
+        r = regret_scaling_gamma(BanditSpec(0.5, 0.55), (0.9, 0.9, 0.9), grid=201)
+        assert len(r.rows) == 3
+        assert "fit_opt" not in r.meta and "fit_ids0" not in r.meta
+
 
 class TestHeatmap:
     def test_diagonal_and_dominance(self):
@@ -335,6 +366,14 @@ class TestAlphaSearch:
         for _, gap in r.rows:
             assert gap >= -1e-9
 
+    def test_failed_optimal_solve_fails_every_row(self):
+        # no certificate meets tol 1e-20; the sweep records every alpha
+        r = optimal_alpha_search(0.55, 0.7, 0.9, (0.0, 0.5), grid=201, tol=1e-20)
+        assert r.rows == []
+        assert [f["row"] for f in r.failures] == [[0.0], [0.5]]
+        assert all("IterationLimit" in f["error"] for f in r.failures)
+        assert "alpha_star" not in r.meta
+
 
 class TestRunManifest:
     def test_writes_named_artifacts(self, tmp_path):
@@ -368,15 +407,9 @@ class TestRunManifest:
         b2 = Path(run_manifest(bounded)["csv"]).read_bytes()
         assert b1 == b2
 
-    def test_workers_do_not_change_bytes(self, tmp_path):
-        raw = {
-            "kind": "heatmap",
-            "theta_minus": [0.6, 0.7],
-            "theta_plus": [0.6, 0.7],
-            "gammas": [0.9],
-            "alphas": [0.5],
-            "grid": 201,
-        }
+    @pytest.mark.parametrize("kind", sorted(KIND_MANIFESTS))
+    def test_workers_do_not_change_bytes(self, tmp_path, kind):
+        raw = {**KIND_MANIFESTS[kind], "grid": 201}
         serial = SweepManifest.from_dict({**raw, "out_dir": str(tmp_path / "s")})
         pooled = SweepManifest.from_dict({**raw, "out_dir": str(tmp_path / "p")})
         b1 = Path(run_manifest(serial, n_workers=1)["csv"]).read_bytes()
@@ -384,87 +417,116 @@ class TestRunManifest:
         assert b1 == b2
 
     def test_dispatches_all_kinds(self, tmp_path):
-        manifests = [
-            {"kind": "curves", "theta_plus": [0.7], "gammas": [0.9]},
-            {
-                "kind": "scaling",
-                "theta_minus": [0.5],
-                "theta_plus": [0.55],
-                "gammas": [0.9, 0.95],
-            },
-            {
-                "kind": "heatmap",
-                "theta_minus": [0.6],
-                "theta_plus": [0.7],
-                "gammas": [0.9],
-                "alphas": [0.5],
-            },
-            {
-                "kind": "alpha",
-                "theta_minus": [0.55],
-                "theta_plus": [0.7],
-                "gammas": [0.9],
-                "alphas": [0.0, 1.0],
-            },
-        ]
-        for raw in manifests:
-            raw.update(grid=201, out_dir=str(tmp_path))
+        for raw in KIND_MANIFESTS.values():
+            raw = {**raw, "grid": 201, "out_dir": str(tmp_path)}
             out = run_manifest(SweepManifest.from_dict(raw))
             assert Path(out["csv"]).exists()
             assert Path(out["json"]).exists()
             assert out["result"].rows
 
-    def test_failed_rows_are_recorded_not_fatal(self, tmp_path, monkeypatch):
+    # per kind: which optimal solves fail, the keys of the rows they fail
+    # and how many rows survive
+    FAILING = {
+        "curves": (lambda prob: prob.spec.theta_plus == 0.6, [[0.6, 0.9]], 1),
+        "scaling": (lambda prob: prob.gamma == 0.95, [[1.0 - 0.95]], 2),
+        "heatmap": (
+            lambda prob: prob.spec.theta_plus == 0.6, [[0.6, 0.6], [0.7, 0.6]], 2
+        ),
+        # every alpha shares the one optimal solve, so every row fails
+        "alpha": (lambda prob: True, [[0.0], [0.5], [1.0]], 0),
+    }
+
+    @pytest.mark.parametrize("kind", sorted(KIND_MANIFESTS))
+    def test_failed_rows_are_recorded_not_fatal(self, tmp_path, monkeypatch, kind):
+        fails, failed_keys, survivors = self.FAILING[kind]
         real = exp._optimal_solve
 
         def flaky(prob, grid, tol):
-            if abs(prob.spec.theta_plus - 0.6) < 1e-12:
+            if fails(prob):
                 raise IterationLimit("sweep budget exhausted", 5, 1.0)
             return real(prob, grid, tol)
 
         monkeypatch.setattr(exp, "_optimal_solve", flaky)
-        m = make_manifest(out_dir=str(tmp_path))
+        m = SweepManifest.from_dict(
+            {**KIND_MANIFESTS[kind], "grid": 201, "out_dir": str(tmp_path)}
+        )
         out = run_manifest(m, n_workers=1)
         res = out["result"]
-        assert len(res.rows) == 1
-        assert res.rows[0][0] == 0.7
-        assert res.failures == [
-            {"row": [0.6, 0.9], "error": res.failures[0]["error"]}
-        ]
-        assert "IterationLimit" in res.failures[0]["error"]
+        assert [f["row"] for f in res.failures] == failed_keys
+        assert all(set(f) == {"row", "error"} for f in res.failures)
+        assert all("IterationLimit" in f["error"] for f in res.failures)
+        assert len(res.rows) == survivors
+        assert not any(list(row[: len(failed_keys[0])]) in failed_keys for row in res.rows)
         doc = json.loads(Path(out["json"]).read_text())
-        assert doc["row_count"] == 1
+        assert doc["row_count"] == len(res.rows)
         assert doc["failures"] == res.failures
         with open(out["csv"]) as fh:
             lines = fh.read().splitlines()
-        assert len(lines) == 2  # header plus the surviving row
-        assert lines[1].startswith("0.7,")
+        assert len(lines) == 1 + len(res.rows)  # header plus the surviving rows
+        if kind == "curves":
+            assert lines[1].startswith("0.7,")
+        if kind == "alpha":
+            assert "alpha_star" not in res.meta
+
+
+@pytest.fixture
+def fake_pool(monkeypatch):
+    """Replace the process pool by one that runs its jobs in this process
+    and records the worker count of every pool made; no process starts."""
+    seen = []
+
+    class FakePool:
+        def __init__(self, max_workers):
+            seen.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs, chunksize=1):
+            return map(fn, jobs)
+
+    # _run_jobs imports the pool class only when it needs one
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", FakePool)
+    return seen
 
 
 class TestRunJobs:
-    def test_pool_is_capped_at_the_job_count(self, monkeypatch):
+    def test_pool_is_capped_at_the_job_count(self, fake_pool):
         # a pool starts every worker at its first submit, so 64 requested
-        # workers for 3 jobs must start 3; the fake starts no process
-        seen = []
-
-        class FakePool:
-            def __init__(self, max_workers):
-                seen.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, jobs, chunksize=1):
-                return map(fn, jobs)
-
-        # _run_jobs imports the pool class only when it needs one
-        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", FakePool)
+        # workers for 3 jobs must start 3
         assert exp._run_jobs([1, 2, 3], abs, 64) == [1, 2, 3]
         assert exp._run_jobs([1, 2], abs, 2) == [1, 2]
-        assert seen == [3, 2]
+        assert fake_pool == [3, 2]
+
+    @pytest.mark.parametrize(
+        "sweep, args",
+        [
+            (regret_scaling_gamma, (BanditSpec(0.5, 0.55), (0.9, 0.95))),
+            (optimal_alpha_search, (0.55, 0.7, 0.9, (0.0, 0.5))),
+        ],
+        ids=["scaling", "alpha"],
+    )
+    def test_scaling_and_alpha_go_through_the_pool(self, fake_pool, sweep, args):
+        serial = sweep(*args, grid=201, n_workers=1)
+        assert fake_pool == []
+        pooled = sweep(*args, grid=201, n_workers=2)
+        assert fake_pool == [2]
+        assert pooled.rows == serial.rows
+
+
+class TestOptimalSolve:
+    def test_cached_value_is_shared_and_read_only(self):
+        # the rows of an alpha sweep share this one value, so no row may
+        # change it under the next
+        prob = DiscountedProblem(BanditSpec(0.55, 0.7), 0.9)
+        v = exp._optimal_solve(prob, BeliefGrid(201), None)
+        assert exp._optimal_solve(prob, BeliefGrid(201), None) is v
+        assert not v.values.flags.writeable
+        with pytest.raises(ValueError):
+            v.values[0] = 0.0
 
 
 class TestResolveWorkers:

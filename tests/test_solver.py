@@ -426,6 +426,20 @@ class TestPolicyExtraction:
         assert np.max(np.abs(v_pi.values - v_vi.values)) <= budget
         assert pol.boundary is not None
 
+    @pytest.mark.parametrize("tm, tp", [(0.3, 0.7), (0.2, 0.8), (0.45, 0.55)])
+    def test_policy_iteration_settles_on_mirrored_arms(self, tm, tp):
+        # theta_minus = 1 - theta_plus gives both arms the same law up to
+        # rounding, so their q values tie within float noise, which must
+        # not flip the policy from round to round
+        prob = DiscountedProblem(BanditSpec(tm, tp), 0.99)
+        grid = BeliefGrid(401)
+        v_pi, _, rounds = policy_iteration(prob, grid)
+        assert rounds == 1
+        cert = certify_optimal(prob, v_pi)
+        v_vi, _ = value_iteration(prob, grid)
+        vi_bound = default_tolerance(prob.gamma) * prob.gamma / (1.0 - prob.gamma)
+        assert np.max(np.abs(v_pi.values - v_vi.values)) <= cert + vi_bound
+
     def test_policy_iteration_budget_scales_with_grid(self):
         # near a fair coin the boundary moves from the myopic start by one
         # or two nodes per round and needs more than 100 rounds
