@@ -21,6 +21,7 @@ requested outside closed-form coverage.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import math
 import os
@@ -303,5 +304,21 @@ def main(argv=None) -> int:
         return 3
 
 
+def entry() -> int:
+    """Process entry of `python -m artifact.cli` and the `artifact`
+    script: main(), then gc.freeze(), so that interpreter shutdown does
+    not run a collection over numpy's objects and the program's.
+    Flushing, atexit handlers, profilers and coverage still run.
+
+    Freezing is safe because nothing waits for the collector: every file
+    the CLI writes is closed by its `with` block, and a sweep's process
+    pool is shut down before main() returns.  Tests call main(), which
+    leaves the caller's collector alone.
+    """
+    code = main()
+    gc.freeze()
+    return code
+
+
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(entry())

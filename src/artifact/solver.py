@@ -12,8 +12,11 @@ reference value, regret curves, greedy policy extraction with boundary
 reporting, and enumeration of reachable beliefs.
 
 BiCGSTAB and the certificates apply the policy system as a numpy
-stencil product, built once for the last (problem, grid) and shared by
-every call on it.  BiCGSTAB starts exact on the linear functions of
+stencil product over a stencil built once for the last (problem, grid)
+and shared by every call on it.  The product reads only the arm each
+node plays: four entries at a pure node, eight at a mixed one, added in
+the order of the full stencil, so it equals the eight-entry product bit
+for bit.  BiCGSTAB starts exact on the linear functions of
 beta, the two slowest modes of every policy system.  scipy.sparse is
 imported only where a sparse matrix is assembled, for an LU fallback or
 by policy_transition, so a run whose solves all converge under BiCGSTAB
@@ -199,13 +202,28 @@ class _Stencil:
         ])
 
     def policy_system(self, qdist):
-        """The policy system I - gamma*M of a per-node mixing weight."""
-        data = []
-        for a, w in ((-1, 1.0 - qdist), (1, qdist)):
-            for y in (0, 1):
-                wp, t = w * self.p[(a, y)], self.t[(a, y)]
-                data += [wp * (1.0 - t), wp * t]
-        return _PolicySystem(self.cols, np.stack(data), self.prob.gamma)
+        """The policy system I - gamma*M of a per-node mixing weight,
+        holding only the entries of the arms a node plays.
+
+        Every row leads with the four entries of one arm: +1 where
+        q = 1, -1 elsewhere.  Mixed rows (0 < q < 1) add the four arm +1
+        entries after them, so each row sums in the order of `cols`; an
+        entry left out carries an exact zero weight."""
+        def weights(w, p, t):
+            wp = w * p
+            return [wp * (1.0 - t), wp * t]
+
+        plus = qdist == 1.0
+        mixed = np.flatnonzero((qdist > 0.0) & (qdist < 1.0))
+        lead = np.where(plus, qdist, 1.0 - qdist)
+        data, extra = [], []
+        for y in (0, 1):
+            data += weights(lead, np.where(plus, self.p[(1, y)], self.p[(-1, y)]),
+                            np.where(plus, self.t[(1, y)], self.t[(-1, y)]))
+            extra += weights(qdist[mixed], self.p[(1, y)][mixed], self.t[(1, y)][mixed])
+        cols = np.where(plus, self.cols[4:], self.cols[:4])
+        return _PolicySystem(cols, np.stack(data), mixed, self.cols[4:, mixed],
+                             np.stack(extra), self.prob.gamma)
 
 
 @lru_cache(maxsize=1)
@@ -222,26 +240,44 @@ def _stencil(prob, grid):
 
 
 class _PolicySystem:
-    """I - gamma*M for one policy, held as its stencil: row i of M has
-    weight data[k, i] in column cols[k, i].  Products need numpy alone;
+    """I - gamma*M for one policy, held as the stencil entries of the
+    arms it plays: row i of M has weight data[k, i] in column cols[k, i]
+    (k < 4, the leading arm), and mixed row rows[m] adds extra_data[k, m]
+    in column extra_cols[k, m] (arm +1).  Products need numpy alone;
     scipy is imported only to assemble M as a sparse matrix."""
 
-    def __init__(self, cols, data, gamma):
-        self.cols, self.data, self.gamma = cols, data, gamma
+    def __init__(self, cols, data, rows, extra_cols, extra_data, gamma):
+        self.cols, self.data = cols, data
+        self.rows, self.extra_cols, self.extra_data = rows, extra_cols, extra_data
+        self.gamma = gamma
 
     def __matmul__(self, v):
-        return v - self.gamma * np.einsum("ij,ij->j", self.data, v[self.cols])
+        # a reduction over axis 0 adds the four leading terms in order;
+        # mixed rows then add their arm +1 terms one at a time after them
+        terms = v.take(self.cols)
+        terms *= self.data
+        mv = np.add.reduce(terms, axis=0)
+        if len(self.rows):
+            extra = v.take(self.extra_cols)
+            extra *= self.extra_data
+            part = mv.take(self.rows)
+            for term in extra:
+                part += term
+            mv[self.rows] = part
+        mv *= self.gamma
+        return v - mv
 
     def transition(self):
         """M as a CSR matrix, assembled from (row, col, weight) triplets
-        in stencil order."""
+        in the order the product sums them."""
         import scipy.sparse as sp
 
         n = self.cols.shape[1]
-        rows = np.tile(np.arange(n), len(self.cols))
-        return sp.csr_matrix(
-            (self.data.ravel(), (rows, self.cols.ravel())), shape=(n, n)
-        )
+        rows = np.concatenate([np.tile(np.arange(n), len(self.cols)),
+                               np.tile(self.rows, len(self.extra_cols))])
+        cols = np.concatenate([self.cols.ravel(), self.extra_cols.ravel()])
+        data = np.concatenate([self.data.ravel(), self.extra_data.ravel()])
+        return sp.csr_matrix((data, (rows, cols)), shape=(n, n))
 
     def lu_solve(self, b):
         """Direct solve by sparse LU."""
@@ -602,7 +638,12 @@ def certify_optimal(
 
 def policy_transition(prob: DiscountedProblem, policy: PolicyTable):
     """Row-stochastic sparse transition matrix of the belief chain under
-    the policy, with interpolation weights as sub-transitions."""
+    the policy, with interpolation weights as sub-transitions.
+
+    The CSR stores only the entries of the arms the policy plays, so the
+    idle arm of a pure node leaves no explicit zero; an entry whose
+    interpolation weight or predictive probability is zero may still be
+    stored."""
     return _stencil(prob, policy.grid).policy_system(policy.q).transition()
 
 

@@ -6,6 +6,7 @@ call main() in-process for speed and to reach the failure mappings.
 
 import json
 import math
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -412,6 +413,65 @@ class TestSweep:
         assert cli.main(["sweep", str(path)]) == 2
         assert "out_dir" in capsys.readouterr().err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["manifest.json"]
+
+
+class TestProcessEntry:
+    """The process entry that `python -m artifact.cli` and the `artifact`
+    script share: main(), then gc.freeze() before shutdown.  Every case
+    runs it in a subprocess, because freezing pytest's own collector
+    would leak into later tests."""
+
+    def test_failed_certificate_exits_3(self, tmp_path):
+        proc = run_cli(
+            "solve", "--theta-minus", 0.7, "--theta-plus", 0.7,
+            "--gamma", 0.9, "--grid", 201, "--tol", 1e-20, "--out", tmp_path,
+        )
+        assert proc.returncode == 3
+        assert proc.stderr.startswith("error:")
+
+    def test_pooled_sweep_matches_serial(self, tmp_path):
+        csvs = []
+        for workers in ("2", "1"):
+            out = tmp_path / f"workers{workers}"
+            path = out / "manifest.json"
+            out.mkdir()
+            path.write_text(json.dumps({
+                "kind": "curves", "theta_plus": [0.6, 0.7], "gammas": [0.9],
+                "grid": 201, "out_dir": str(out),
+            }))
+            env = {**os.environ, "ARTIFACT_WORKERS": workers}
+            proc = subprocess.run([sys.executable, "-m", "artifact.cli", "sweep", str(path)],
+                                  capture_output=True, text=True, env=env)
+            assert proc.returncode == 0, proc.stderr
+            (csv,) = out.glob("curves_*.csv")
+            sidecar = json.loads(csv.with_suffix(".json").read_text())
+            assert sidecar["workers"] == int(workers)
+            assert sidecar["row_count"] == 2
+            csvs.append(csv.read_bytes())
+        assert csvs[0] == csvs[1]
+
+    def test_script_and_module_share_the_entry(self, tmp_path):
+        tomllib = pytest.importorskip("tomllib")
+        root = Path(__file__).resolve().parents[1]
+        with open(root / "pyproject.toml", "rb") as fh:
+            target = tomllib.load(fh)["project"]["scripts"]["artifact"]
+        module, _, name = target.partition(":")
+        assert module == "artifact.cli"
+        assert getattr(cli, name) is cli.entry
+        # run as a module, the CLI returns through entry() and freezes
+        probe = (
+            "import gc, runpy, sys\n"
+            "gc.freeze = lambda: print('frozen')\n"
+            "sys.argv = ['artifact', 'solve', '--theta-minus', '0.7', '--theta-plus', '0.7',"
+            f" '--gamma', '0.9', '--grid', '101', '--out', {str(tmp_path)!r}]\n"
+            "try:\n"
+            "    runpy.run_module('artifact.cli', run_name='__main__')\n"
+            "except SystemExit as exc:\n"
+            "    print('exit', exc.code)\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-2:] == ["frozen", "exit 0"]
 
 
 def modules_after(code, prefixes=("scipy",)):

@@ -472,6 +472,73 @@ class TestPolicyExtraction:
         np.testing.assert_allclose(np.asarray(m.sum(axis=1)).ravel(), 1.0, atol=1e-12)
 
 
+POLICY_KINDS = {
+    "all -1": lambda rng, n: np.zeros(n),
+    "all +1": lambda rng, n: np.ones(n),
+    "uniform": lambda rng, n: rng.uniform(0.0, 1.0, n),
+    "halves": lambda rng, n: rng.choice([0.0, 0.5, 1.0], n),
+    "mostly pure": lambda rng, n: np.where(
+        rng.uniform(size=n) < rng.uniform(), rng.uniform(0.0, 1.0, n),
+        rng.choice([0.0, 1.0], n)),
+}
+
+
+def eight_entry_data(st, q):
+    """Weights of the full stencil of policy q, shape (8, n), in the
+    order of st.cols: both arms, both outcomes, both neighbours."""
+    data = []
+    for a, w in ((-1, 1.0 - q), (1, q)):
+        for y in (0, 1):
+            wp, t = w * st.p[(a, y)], st.t[(a, y)]
+            data += [wp * (1.0 - t), wp * t]
+    return np.stack(data)
+
+
+class TestPolicySystem:
+    """The policy system keeps only the entries of the arms a node plays
+    and sums them in the order of the full eight-entry stencil, so its
+    product and its matrix equal the eight-entry reference bit for bit."""
+
+    @pytest.mark.parametrize("kind", sorted(POLICY_KINDS))
+    @pytest.mark.parametrize("n", [3, 201])
+    @pytest.mark.parametrize("tm, tp", [(0.55, 0.7), (0.5, 0.7), (0.0, 1.0), (1.0, 0.3)])
+    def test_matches_eight_entry_stencil(self, tm, tp, n, kind):
+        gamma = 0.9
+        st = solver._stencil(DiscountedProblem(BanditSpec(tm, tp), gamma), BeliefGrid(n))
+        rng = np.random.default_rng(n)
+        q = POLICY_KINDS[kind](rng, n)
+        data = eight_entry_data(st, q)
+        A = st.policy_system(q)
+        for v in (rng.normal(size=n), 1e3 * rng.normal(size=n), np.ones(n)):
+            want = v - gamma * np.einsum("ij,ij->j", data, v[st.cols])
+            assert np.array_equal(A @ v, want)
+        ref = np.zeros((n, n))
+        np.add.at(ref, (np.tile(np.arange(n), 8), st.cols.ravel()), data.ravel())
+        assert np.array_equal(A.transition().toarray(), ref)
+
+    def test_transition_drops_only_the_idle_arm(self):
+        # a pure row stores at most its four played entries; I - gamma*M,
+        # where sparse arithmetic drops zeros, is the eight-entry system
+        prob = DiscountedProblem(BanditSpec(0.55, 0.7), 0.99)
+        grid = BeliefGrid(2001)
+        pol = ids_policy_on_grid(prob, grid, IdsConfig(alpha=0.5, gamma=prob.gamma))
+        mixed = (pol.q > 0.0) & (pol.q < 1.0)
+        assert mixed.any() and not mixed.all()
+        M = policy_transition(prob, pol)
+        assert np.diff(M.indptr)[~mixed].max() <= 4
+        st = solver._stencil(prob, grid)
+        n = grid.n_points
+        full = sp.csr_matrix((eight_entry_data(st, pol.q).ravel(),
+                              (np.tile(np.arange(n), 8), st.cols.ravel())), shape=(n, n))
+        assert M.nnz < full.nnz
+        eye = sp.identity(n, format="csr")
+        A, A_full = eye - prob.gamma * M, eye - prob.gamma * full
+        assert A.nnz == A_full.nnz
+        assert np.array_equal(A.indptr, A_full.indptr)
+        assert np.array_equal(A.indices, A_full.indices)
+        assert np.array_equal(A.data, A_full.data)
+
+
 class TestSolveKernel:
     """Direct solves of certified BiCGSTAB with its LU fallback:
     (0.55, 0.7), gamma 0.99, 8001 nodes, the IDS(0.5) policy."""
