@@ -13,9 +13,9 @@ acceptance bound on the certified error (default 1e-9/(1-gamma), raised
 to the float floor 8*eps/(1-gamma)^2 of a certificate when gamma is
 above 1 - 1.8e-6).
 
-Exit codes: 0 success, 2 invalid parameters or unreadable manifest,
-3 solver non-convergence or certified error above --tol, 4 comparison
-requested outside closed-form coverage.
+Exit codes: 0 success, 2 invalid parameters, unreadable manifest or
+unusable output directory, 3 solver non-convergence or certified error
+above --tol, 4 comparison requested outside closed-form coverage.
 """
 
 from __future__ import annotations
@@ -205,16 +205,16 @@ def cmd_ids(args) -> int:
 def cmd_compare(args) -> int:
     prob, grid = _problem(args)
     spec = prob.spec
-    out = _outdir(args)
     symmetric = spec.symmetric and 0.5 < spec.theta_plus < 1.0
     fair = spec.theta_minus == 0.5 and 0.5 < spec.theta_plus < 1.0
-    if not symmetric and not fair:
+    if prob.gamma == 0.0 or (not symmetric and not fair):
         print(
-            "error: closed forms cover theta_minus == theta_plus in (1/2, 1) "
-            "or theta_minus == 1/2 with theta_plus in (1/2, 1)",
+            "error: closed forms cover gamma in (0, 1) with theta_minus == "
+            "theta_plus in (1/2, 1) or theta_minus == 1/2 with theta_plus in (1/2, 1)",
             file=sys.stderr,
         )
         return 4
+    out = _outdir(args)
     v, policy, _ = policy_iteration(prob, grid)
     certify_optimal(prob, v, args.tol)
 
@@ -296,7 +296,7 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except BanditError as exc:

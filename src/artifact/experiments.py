@@ -98,11 +98,12 @@ class SweepManifest:
             return float(x)
 
         def seq(key):
-            # scalars are accepted as singleton grids
+            # a grid is an array or one number, its singleton; a string or
+            # an object would otherwise iterate by character or by key
             val = raw.get(key, ())
-            if isinstance(val, (int, float)):
-                val = (val,)
-            return tuple(number(key, x) for x in val)
+            if isinstance(val, (list, tuple)):
+                return tuple(number(key, x) for x in val)
+            return (number(key, val),)
 
         # int() would truncate 801.9 and bool("false") is True, so these
         # two fields take only their own JSON type
@@ -378,6 +379,8 @@ def run_manifest(manifest: SweepManifest, n_workers=None) -> dict:
     """Dispatch a manifest, write its CSV and JSON artifacts, and return
     {"csv": path, "json": path, "result": SweepResult}."""
     manifest.validate()
+    # an unusable out_dir fails here, before any row is computed
+    os.makedirs(manifest.out_dir, exist_ok=True)
     workers = resolve_workers(n_workers)
     if manifest.kind == "curves":
         result = max_regret_vs_theta(
@@ -417,7 +420,6 @@ def run_manifest(manifest: SweepManifest, n_workers=None) -> dict:
             tol=manifest.tol,
             n_workers=workers,
         )
-    os.makedirs(manifest.out_dir, exist_ok=True)
     stem = f"{manifest.kind}_{manifest.digest()}"
     csv_path = os.path.join(manifest.out_dir, stem + ".csv")
     json_path = os.path.join(manifest.out_dir, stem + ".json")

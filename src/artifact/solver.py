@@ -181,13 +181,13 @@ class _Stencil:
         return np.maximum(q[-1], q[1])
 
     def greedy(self, v):
-        """Per-node indicator of arm +1; ties go to the larger immediate
-        reward and then to +1."""
+        """Per-node indicator of arm +1: the arm whose q leads by more
+        than 8*eps/(1-gamma), above the rounding of a backup
+        (default_tolerance), and elsewhere the myopic arm, the larger
+        immediate reward and then +1, which every node takes at v = 0."""
         q = self.q_values(v)
-        prefer = q[1] > q[-1]
-        tie = q[1] == q[-1]
-        prefer = prefer | (tie & (self.r[1] >= self.r[-1]))
-        return prefer.astype(float)
+        clear = np.abs(q[1] - q[-1]) > 8.0 * np.finfo(float).eps / (1.0 - self.prob.gamma)
+        return np.where(clear, q[1] > q[-1], self.r[1] >= self.r[-1]).astype(float)
 
     def policy_reward(self, qdist):
         return (1.0 - qdist) * self.r[-1] + qdist * self.r[1]
@@ -573,13 +573,14 @@ def policy_iteration(
 ):
     """Howard policy iteration with direct-solve evaluations.
 
-    Starts from the myopic greedy policy and alternates exact evaluation
-    with greedy improvement until the policy stops changing.  A node
-    switches arm only where the other arm's q leads by more than the
-    rounding of a backup can explain, so arms with the same law up to
-    rounding, theta_minus = 1 - theta_plus, settle instead of flipping on
-    float noise.  Settles in a handful of rounds on informative arms and
-    is far cheaper than value iteration when gamma is close to 1.  Near a fair coin the boundary
+    Starts from the myopic policy and alternates exact evaluation with
+    the greedy step of extract_greedy_policy, the clear-lead rule with
+    the myopic fallback, until the policy stops changing.  That step
+    reads only the value, so the result does not depend on the start,
+    and arms with the same law up to rounding, theta_minus = 1 -
+    theta_plus, settle instead of flipping on float noise.  Settles in a
+    handful of rounds on informative arms and is far cheaper than value
+    iteration when gamma is close to 1.  Near a fair coin the boundary
     ends far from the myopic start and moves one or two nodes per round,
     so the default budget is one round per grid node.  Evaluations use
     the one certified solve of policy_evaluation, BiCGSTAB warm-started
@@ -600,13 +601,7 @@ def policy_iteration(
         v, _, _, how = _solve_policy(st, qd, st.policy_reward(qd), tol, v, krylov)
         # the next policy differs in a few nodes, so a miss predicts a miss
         krylov = how == "BiCGSTAB"
-        # one backup rounds q values of size 1/(1-gamma) by about
-        # eps/(1-gamma) (default_tolerance), so a node switches arm only
-        # where the other arm leads by more than 8 times that; a smaller
-        # lead stays under the certificate's float floor
-        q = st.q_values(v)
-        clear = np.abs(q[1] - q[-1]) > 8.0 * np.finfo(float).eps / (1.0 - prob.gamma)
-        qd2 = np.where(clear, (q[1] > q[-1]).astype(float), qd)
+        qd2 = st.greedy(v)
         if np.array_equal(qd2, qd):
             return ValueFunction(grid, v), _policy_from_q(grid, qd), k
         qd = qd2
@@ -688,9 +683,9 @@ def _policy_from_q(grid, qdist):
 
 
 def extract_greedy_policy(prob: DiscountedProblem, v: ValueFunction) -> PolicyTable:
-    """Greedy policy of v, with ties broken toward the larger immediate
-    reward and then toward arm +1.  The boundary field is filled when the
-    preference flips exactly once."""
+    """Greedy policy of v by the step policy_iteration improves with: the
+    clear-lead rule with the myopic fallback of _Stencil.greedy.  The
+    boundary field is filled when the preference flips exactly once."""
     st = _stencil(prob, v.grid)
     return _policy_from_q(v.grid, st.greedy(v.values))
 

@@ -342,6 +342,60 @@ class TestCompare:
         )
         assert rc == 4
 
+    @pytest.mark.parametrize("tm, tp", [(0.7, 0.7), (0.5, 0.7)])
+    def test_gamma_zero_exits_4_before_solving(self, tmp_path, monkeypatch, capsys, tm, tp):
+        # both closed forms need 0 < gamma, so the coverage check refuses
+        # gamma 0 before policy iteration runs or --out is created
+        def spy(*args, **kwargs):
+            raise AssertionError("policy_iteration called")
+
+        monkeypatch.setattr(cli, "policy_iteration", spy)
+        rc = cli.main(
+            [
+                "compare",
+                "--theta-minus", str(tm), "--theta-plus", str(tp),
+                "--gamma", "0", "--grid", "101", "--out", str(tmp_path / "out"),
+            ]
+        )
+        assert rc == 4
+        assert "gamma in (0, 1)" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+
+class TestUnusableOutputDirectory:
+    """An --out or out_dir that names an existing file is a parameter
+    error: exit 2 with a one-line message, not a traceback."""
+
+    @pytest.mark.parametrize("command, extra", [
+        ("solve", []), ("ids", ["--alpha", "0.5"]), ("compare", []),
+    ])
+    def test_out_naming_a_file_exits_2(self, tmp_path, capsys, command, extra):
+        target = tmp_path / "taken"
+        target.write_text("")
+        rc = cli.main(
+            [
+                command,
+                "--theta-minus", "0.7", "--theta-plus", "0.7",
+                "--gamma", "0.9", "--grid", "101", "--out", str(target), *extra,
+            ]
+        )
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error:")
+
+    def test_sweep_out_dir_naming_a_file_exits_2_before_any_row(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        calls = []
+        monkeypatch.setattr("artifact.experiments._optimal_solve", lambda *a: calls.append(a))
+        target = tmp_path / "taken"
+        target.write_text("")
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps({"kind": "curves", "theta_plus": [0.7], "gammas": [0.9],
+                                    "grid": 101, "out_dir": str(target)}))
+        assert cli.main(["sweep", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+        assert calls == []
+
 
 class TestSweep:
     def write_manifest(self, tmp_path, raw):

@@ -228,6 +228,17 @@ class TestManifestValidation:
         assert m.theta_minus == (0.5,)
         assert m.theta_plus == (0.55,)
 
+    def test_grid_fields_take_only_numbers_or_arrays(self):
+        # a string iterates by character and an object by key, so neither
+        # may pass for a grid; the message names the field and the value
+        for key, val in [("alphas", ""), ("theta_minus", {}),
+                         ("theta_minus", "0.55"), ("gammas", {"0.99": 1})]:
+            with pytest.raises(InvalidManifest) as info:
+                make_manifest(**{key: val})
+            assert f"malformed manifest field {key}: {val!r}" in str(info.value)
+        assert make_manifest(alphas=[]).alphas == ()
+        assert make_manifest(gammas=0.99).gammas == (0.99,)
+
     def test_malformed_field_type(self):
         with pytest.raises(InvalidManifest, match="malformed"):
             make_manifest(grid="nonsense")

@@ -440,6 +440,18 @@ class TestPolicyExtraction:
         vi_bound = default_tolerance(prob.gamma) * prob.gamma / (1.0 - prob.gamma)
         assert np.max(np.abs(v_pi.values - v_vi.values)) <= cert + vi_bound
 
+    @pytest.mark.parametrize("tm, tp", [(0.3, 0.7), (0.45, 0.55), (0.2, 0.8),
+                                        (0.55, 0.7), (0.5, 0.7), (0.7, 0.7)])
+    def test_policy_iteration_returns_greedy_policy_of_its_value(self, tm, tp):
+        # policy iteration improves by the greedy step of
+        # extract_greedy_policy, so its settled policy is that step's
+        # answer on the value it returns, mirrored arms included
+        prob = DiscountedProblem(BanditSpec(tm, tp), 0.99)
+        v, pol, _ = policy_iteration(prob, BeliefGrid(801))
+        greedy = extract_greedy_policy(prob, v)
+        assert np.array_equal(greedy.q, pol.q)
+        assert greedy.boundary == pol.boundary
+
     def test_policy_iteration_budget_scales_with_grid(self):
         # near a fair coin the boundary moves from the myopic start by one
         # or two nodes per round and needs more than 100 rounds
