@@ -167,8 +167,8 @@ def cmd_solve(args) -> int:
 
 def cmd_ids(args) -> int:
     prob, grid = _problem(args)
-    out = _outdir(args)
     config = IdsConfig(alpha=args.alpha, gamma=prob.gamma)
+    out = _outdir(args)
     policy = ids_policy_on_grid(prob, grid, config)
     v = policy_evaluation(prob, policy, tol=args.tol)
     regret = regret_curve(prob, v)

@@ -1,5 +1,17 @@
 """Exception types shared across the library."""
 
+__all__ = [
+    "BanditError",
+    "ZeroLikelihood",
+    "IterationLimit",
+    "DegenerateTheta",
+    "DegenerateRatio",
+    "NoBoundary",
+    "MultipleBoundaries",
+    "InsufficientSamples",
+    "InvalidManifest",
+]
+
 
 class BanditError(Exception):
     """Base class for every library-specific failure."""

@@ -52,14 +52,14 @@ __all__ = [
 
 WORKERS_ENV = "ARTIFACT_WORKERS"
 
-_KINDS = ("curves", "scaling", "heatmap", "alpha")
-
 _COLUMNS = {
     "curves": ("theta", "gamma", "max_regret"),
     "scaling": ("one_minus_gamma", "regret_opt", "regret_ids0"),
     "heatmap": ("theta_minus", "theta_plus", "delta_R"),
     "alpha": ("alpha", "delta_R"),
 }
+
+_KINDS = tuple(_COLUMNS)
 
 
 @dataclass(frozen=True)

@@ -311,7 +311,9 @@ def regret_bound(
     range as alpha -> 0 although psi itself overflows.  The policy value
     is recomputed by a direct solve unless `value` is supplied.  `holds`
     compares the measured regret against the bound plus a relative slack.
+    A beta0 outside [-1, 1], or NaN, raises ValueError.
     """
+    beta0 = _check_beta(beta0)
     s = scaled_log_sup_ratio(prob, policy, alpha)
     h0 = entropy(beta0)
     if alpha < 1.0 and h0 == 0.0:

@@ -224,6 +224,20 @@ class TestIds:
         )
         assert rc == 2
 
+    @pytest.mark.parametrize("alpha", ["2", "-0.1"])
+    def test_invalid_alpha_exits_2_before_creating_out(self, tmp_path, capsys, alpha):
+        out = tmp_path / "missing"
+        rc = cli.main(
+            [
+                "ids",
+                "--theta-minus", "0.55", "--theta-plus", "0.7",
+                "--gamma", "0.9", f"--alpha={alpha}", "--out", str(out),
+            ]
+        )
+        assert rc == 2
+        assert "error: alpha must lie in [0, 1]" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_tol_bounds_certified_error(self, tmp_path, capsys):
         args = [
             "ids",

@@ -360,6 +360,14 @@ class TestSupRatioAndBound:
             assert bound == 0.0
             assert holds
 
+    @pytest.mark.parametrize("b0", [1.5, -1.5, math.nan])
+    def test_invalid_start_belief_raises(self, b0):
+        # a NaN bound would otherwise be reported as violated
+        prob = DiscountedProblem(BanditSpec(0.55, 0.7), 0.9)
+        pol = ids_policy_on_grid(prob, BeliefGrid(201), IdsConfig(alpha=0.5, gamma=0.9))
+        with pytest.raises(ValueError, match="beta must lie in"):
+            regret_bound(prob, pol, 0.5, b0)
+
     def test_symmetric_bound_holds_at_uniform_start(self):
         prob = DiscountedProblem(BanditSpec(0.7, 0.7), 0.99)
         grid = BeliefGrid(801)
