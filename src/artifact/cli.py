@@ -23,7 +23,6 @@ from __future__ import annotations
 import argparse
 import gc
 import json
-import math
 import os
 import sys
 
@@ -49,9 +48,9 @@ from .ids import (
 from .solver import (
     BeliefGrid,
     DiscountedProblem,
+    _resolve_tol,
     certify_optimal,
     decision_boundary,
-    default_tolerance,
     mdp_value,
     policy_evaluation,
     policy_iteration,
@@ -107,12 +106,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _problem(args):
+    """The problem, the grid and the checked --tol, default filled in."""
     spec = BanditSpec(args.theta_minus, args.theta_plus)
     prob = DiscountedProblem(spec, args.gamma)
-    grid = BeliefGrid(args.grid)
-    if args.tol is not None and not (math.isfinite(args.tol) and args.tol > 0.0):
-        raise ValueError(f"tol must be positive and finite, got {args.tol}")
-    return prob, grid
+    return prob, BeliefGrid(args.grid), _resolve_tol(prob.gamma, args.tol)
 
 
 def _outdir(args):
@@ -139,9 +136,8 @@ def _write_solution(args, out, stem, summary, v, regret, policy):
 
 
 def cmd_solve(args) -> int:
-    prob, grid = _problem(args)
+    prob, grid, tol = _problem(args)
     out = _outdir(args)
-    tol = args.tol if args.tol is not None else default_tolerance(prob.gamma)
     v, policy, rounds = policy_iteration(prob, grid)
     bound = certify_optimal(prob, v, tol)
     regret = regret_curve(prob, v)
@@ -166,11 +162,11 @@ def cmd_solve(args) -> int:
 
 
 def cmd_ids(args) -> int:
-    prob, grid = _problem(args)
+    prob, grid, tol = _problem(args)
     config = IdsConfig(alpha=args.alpha, gamma=prob.gamma)
     out = _outdir(args)
     policy = ids_policy_on_grid(prob, grid, config)
-    v = policy_evaluation(prob, policy, tol=args.tol)
+    v = policy_evaluation(prob, policy, tol=tol)
     regret = regret_curve(prob, v)
     psi = sup_info_ratio(prob, policy, args.alpha)
     bound, holds = regret_bound(prob, policy, args.alpha, 0.0, value=v)
@@ -203,7 +199,7 @@ def cmd_ids(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    prob, grid = _problem(args)
+    prob, grid, tol = _problem(args)
     spec = prob.spec
     symmetric = spec.symmetric and 0.5 < spec.theta_plus < 1.0
     fair = spec.theta_minus == 0.5 and 0.5 < spec.theta_plus < 1.0
@@ -216,7 +212,7 @@ def cmd_compare(args) -> int:
         return 4
     out = _outdir(args)
     v, policy, _ = policy_iteration(prob, grid)
-    certify_optimal(prob, v, args.tol)
+    certify_optimal(prob, v, tol)
 
     if symmetric:
         pts = reachable_beliefs(spec, 0.0, 6)

@@ -60,25 +60,26 @@ __all__ = [
     "entropy_reduction_cost",
 ]
 
+# Information below this counts as none, for the selection's greedy guard
+# and for the nodes the sup ratio skips alike; read at call time.
 DEFAULT_INFO_FLOOR = 1e-12
 
 
 @dataclass(frozen=True)
 class IdsConfig:
-    """Tuning knobs: exponent alpha, discount gamma, and the information
-    floor below which the guard path plays greedily."""
+    """The two parameters of IDS(alpha): the exponent alpha in [0, 1] and
+    the discount gamma in [0, 1) of the information measure.  Beliefs
+    whose two arms both carry less than DEFAULT_INFO_FLOOR of
+    information play greedily."""
 
     alpha: float
     gamma: float
-    info_floor: float = DEFAULT_INFO_FLOOR
 
     def __post_init__(self):
         if not 0.0 <= self.alpha <= 1.0:
             raise ValueError(f"alpha must lie in [0, 1], got {self.alpha}")
         if not 0.0 <= self.gamma < 1.0:
             raise ValueError(f"gamma must lie in [0, 1), got {self.gamma}")
-        if self.info_floor <= 0.0:
-            raise ValueError("info_floor must be positive")
 
 
 @dataclass(frozen=True)
@@ -209,7 +210,7 @@ def _ids_q(d0, d1, i0, i1, alpha, greedy):
 def _ids_policy_q(spec, config, beliefs, ends):
     """IDS mixture at each belief, chosen from the arm endpoints `ends`."""
     greedy = _greedy_q(spec, beliefs)
-    guard = np.maximum(ends[2], ends[3]) < config.info_floor
+    guard = np.maximum(ends[2], ends[3]) < DEFAULT_INFO_FLOOR
     return np.where(guard, greedy, _ids_q(*ends, config.alpha, greedy))
 
 
@@ -260,36 +261,26 @@ def ratio_table(prob: DiscountedProblem, policy: PolicyTable, alpha: float):
     return (policy.grid.nodes, *ends, policy.q, ratio(d, i, alpha))
 
 
-def scaled_log_sup_ratio(
-    prob: DiscountedProblem,
-    policy: PolicyTable,
-    alpha: float,
-    info_floor: float = DEFAULT_INFO_FLOOR,
-) -> float:
+def scaled_log_sup_ratio(prob: DiscountedProblem, policy: PolicyTable, alpha: float) -> float:
     """alpha * log sup_info_ratio, and log sup_info_ratio at alpha = 0;
     finite wherever the pointwise ratios are, at every alpha."""
     if not 0.0 <= alpha <= 1.0:
         raise ValueError(f"alpha must lie in [0, 1], got {alpha}")
     _, d, i = _policy_mixture(prob, policy)
-    skip = (i < info_floor) & (d < info_floor)
+    skip = (i < DEFAULT_INFO_FLOOR) & (d < DEFAULT_INFO_FLOOR)
     return float(np.max(np.where(skip, -np.inf, _scaled_log_ratio(d, i, alpha))))
 
 
-def sup_info_ratio(
-    prob: DiscountedProblem,
-    policy: PolicyTable,
-    alpha: float,
-    info_floor: float = DEFAULT_INFO_FLOOR,
-) -> float:
+def sup_info_ratio(prob: DiscountedProblem, policy: PolicyTable, alpha: float) -> float:
     """Largest pointwise ratio of the policy across the grid.
 
-    Nodes where both the regret and the information sit below the floor
-    are guard territory and are skipped; a node with real regret but no
-    information legitimately pushes the supremum to infinity.  The
-    maximum is taken in log space, so the result is inf only when the
-    supremum lies beyond the float range.
+    Nodes where both the regret and the information sit below
+    DEFAULT_INFO_FLOOR are guard territory and are skipped; a node with
+    real regret but no information legitimately pushes the supremum to
+    infinity.  The maximum is taken in log space, so the result is inf
+    only when the supremum lies beyond the float range.
     """
-    s = scaled_log_sup_ratio(prob, policy, alpha, info_floor)
+    s = scaled_log_sup_ratio(prob, policy, alpha)
     with np.errstate(over="ignore"):
         return float(np.exp(s / (alpha if alpha > 0.0 else 1.0)))
 
@@ -300,7 +291,6 @@ def regret_bound(
     alpha: float,
     beta0: float,
     value: ValueFunction | None = None,
-    slack: float = 1e-6,
 ):
     """Worst-case discounted regret bound at beta0 and whether it holds.
 
@@ -310,8 +300,9 @@ def regret_bound(
     (1-alpha)*log H(beta0)) from alpha * log psi, which stays in float
     range as alpha -> 0 although psi itself overflows.  The policy value
     is recomputed by a direct solve unless `value` is supplied.  `holds`
-    compares the measured regret against the bound plus a relative slack.
-    A beta0 outside [-1, 1], or NaN, raises ValueError.
+    compares the measured regret against the bound plus a slack of 1e-6
+    times max(1, bound).  A beta0 outside [-1, 1], or NaN, raises
+    ValueError.
     """
     beta0 = _check_beta(beta0)
     s = scaled_log_sup_ratio(prob, policy, alpha)
@@ -328,7 +319,7 @@ def regret_bound(
     measured = mdp_value(prob, beta0) - value(beta0)
     if np.isinf(bound):
         return float(bound), True
-    holds = measured <= bound + slack * max(1.0, bound)
+    holds = measured <= bound + 1e-6 * max(1.0, bound)
     return float(bound), bool(holds)
 
 

@@ -83,12 +83,16 @@ def read_value_csv(path) -> ValueFunction:
     betas, values = [], []
     with open(path, newline="") as fh:
         r = csv.reader(fh)
-        header = next(r)
-        if header[:2] != ["beta", "value"]:
+        header = next(r, None)
+        if header is None or header[:2] != ["beta", "value"]:
             raise ValueError(f"unexpected header {header!r} in {path}")
         for row in r:
-            betas.append(float(row[0]))
-            values.append(float(row[1]))
+            try:
+                beta, value = float(row[0]), float(row[1])
+            except (IndexError, ValueError):
+                raise ValueError(f"line {r.line_num} of {path} is not two numbers") from None
+            betas.append(beta)
+            values.append(value)
     n = len(betas)
     grid = BeliefGrid(n)
     if not np.allclose(grid.nodes, betas, atol=1e-9):

@@ -137,7 +137,7 @@ class PolicyTable:
         q = np.asarray(self.q, dtype=float)
         if q.shape != (self.grid.n_points,):
             raise ValueError("q must have one entry per grid node")
-        if np.any((q < 0.0) | (q > 1.0)):
+        if not np.all((q >= 0.0) & (q <= 1.0)):
             raise ValueError("q entries must lie in [0, 1]")
         object.__setattr__(self, "q", q)
         if self.boundary is not None and not -1.0 <= self.boundary <= 1.0:
@@ -499,11 +499,9 @@ def _resolve_costs(cost, grid):
     return c
 
 
-def _certified_solve(st, qdist, per_node, tol, method, what, x0=None):
+def _certified_solve(st, qdist, per_node, tol, what, x0=None):
     """Solve v = per_node + gamma * M_pi v by _solve_policy and raise
     IterationLimit when its certificate misses tol."""
-    if method != "direct":
-        raise ValueError(f"unknown method {method!r}")
     tol = _resolve_tol(st.prob.gamma, tol)
     v, cert, iterations, how = _solve_policy(st, qdist, per_node, tol, x0)
     if cert > tol:
@@ -533,15 +531,17 @@ def policy_evaluation(
 
     `x0`, a value on the policy's grid such as the optimal value, is a
     warm start for BiCGSTAB; the result is certified the same way.
-    There is one method.  `method` accepts only "direct", its name, so
-    that existing callers which pass it keep working; any other value
-    raises ValueError.
+    There is one method.  `method` accepts only "direct", its name,
+    because callers such as benchmarks/selftest.py pass it; any other
+    value raises ValueError.  evaluate_cost takes no `method`.
     """
+    if method != "direct":
+        raise ValueError(f"unknown method {method!r}")
     if x0 is not None and x0.grid != policy.grid:
         raise ValueError("x0 must lie on the policy's grid")
     st = _stencil(prob, policy.grid)
     rpi = st.policy_reward(policy.q)
-    return _certified_solve(st, policy.q, rpi, tol, method, "policy evaluation",
+    return _certified_solve(st, policy.q, rpi, tol, "policy evaluation",
                             None if x0 is None else x0.values)
 
 
@@ -550,7 +550,6 @@ def evaluate_cost(
     policy: PolicyTable,
     cost,
     tol: float | None = None,
-    method: str = "direct",
 ) -> ValueFunction:
     """Cumulative discounted cost of an arbitrary per-belief one-step cost.
 
@@ -558,12 +557,12 @@ def evaluate_cost(
     applied to the node vector; costs that depend on the policy should be
     supplied already mixed.  The result is the fixed point of
     C = cost + gamma * M_pi C and is linear in the cost argument.  It is
-    solved and certified against tol as in policy_evaluation, which also
-    says why `method` is accepted.
+    solved and certified against tol by the one direct solve of
+    policy_evaluation.
     """
     st = _stencil(prob, policy.grid)
     c = _resolve_costs(cost, policy.grid)
-    return _certified_solve(st, policy.q, c, tol, method, "cost evaluation")
+    return _certified_solve(st, policy.q, c, tol, "cost evaluation")
 
 
 def policy_iteration(

@@ -58,8 +58,6 @@ class TestConfig:
             IdsConfig(alpha=1.1, gamma=0.9)
         with pytest.raises(ValueError):
             IdsConfig(alpha=0.5, gamma=1.0)
-        with pytest.raises(ValueError):
-            IdsConfig(alpha=0.5, gamma=0.9, info_floor=0.0)
 
 
 class TestInformationFunction:
@@ -390,6 +388,39 @@ class TestSupRatioAndBound:
         pol = ids_policy_on_grid(prob, grid, IdsConfig(alpha=0.5, gamma=0.9))
         with pytest.raises(ValueError):
             sup_info_ratio(prob, pol, 1.5)
+
+
+class TestInfoFloor:
+    """DEFAULT_INFO_FLOOR is the one floor: the greedy guard of the
+    selection and the nodes the sup ratio skips both follow it.  Spec
+    (0.55, 0.7), gamma 0.9, N 21, alpha 0.5: the largest information of
+    a node is 0.1434, and the default sup ratio sits at beta = -0.2."""
+
+    prob = DiscountedProblem(BanditSpec(0.55, 0.7), 0.9)
+    grid = BeliefGrid(21)
+    config = IdsConfig(alpha=0.5, gamma=0.9)
+
+    def test_greedy_guard_follows_the_floor(self, monkeypatch):
+        greedy = np.array([greedy_q(self.prob.spec, b) for b in self.grid.nodes])
+        before = ids_policy_on_grid(self.prob, self.grid, self.config).q
+        # beta = -0.1 explores arm +1 although arm -1 is greedy there
+        assert before[9] == 1.0 and greedy[9] == 0.0
+        # above every node's information, so every node is guarded
+        monkeypatch.setattr(ids_module, "DEFAULT_INFO_FLOOR", 0.145)
+        after = ids_policy_on_grid(self.prob, self.grid, self.config).q
+        np.testing.assert_array_equal(after, greedy)
+
+    def test_sup_ratio_skip_follows_the_floor(self, monkeypatch):
+        pol = ids_policy_on_grid(self.prob, self.grid, self.config)
+        _, d0, d1, i0, i1, q, r = ratio_table(self.prob, pol, 0.5)
+        d, i = (1.0 - q) * d0 + q * d1, (1.0 - q) * i0 + q * i1
+        before = sup_info_ratio(self.prob, pol, 0.5)
+        assert before == np.max(r)
+        monkeypatch.setattr(ids_module, "DEFAULT_INFO_FLOOR", 0.12)
+        kept = (d >= 0.12) | (i >= 0.12)
+        after = sup_info_ratio(self.prob, pol, 0.5)
+        assert after == np.max(r[kept])
+        assert after < before
 
 
 class TestEntropyReductionCost:

@@ -141,6 +141,17 @@ class TestWriters:
         artio.write_value_csv(second, back)
         assert second.read_bytes() == first.read_bytes()
 
+    @pytest.mark.parametrize(
+        "text",
+        ["", "beta,value\n-1,0\n0\n1,0\n", "beta,value\n-1,0\nx,0\n1,0\n"],
+        ids=["empty", "one-cell-row", "non-numeric-cell"],
+    )
+    def test_malformed_value_table_names_the_file(self, tmp_path, text):
+        path = tmp_path / "bad.csv"
+        path.write_text(text)
+        with pytest.raises(ValueError, match="bad.csv"):
+            artio.read_value_csv(path)
+
 
 class TestJsonDoc:
     def test_non_strict_doc_leaves_no_partial_file(self, tmp_path):

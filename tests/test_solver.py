@@ -75,6 +75,8 @@ class TestGridAndContainers:
         with pytest.raises(ValueError):
             PolicyTable(g, np.full(5, 1.5))
         with pytest.raises(ValueError):
+            PolicyTable(g, np.array([np.nan, 0.0, 1.0, 1.0, 1.0]))
+        with pytest.raises(ValueError):
             PolicyTable(g, np.zeros(4))
 
     def test_problem_rejects_gamma_one(self):
@@ -285,12 +287,9 @@ class TestPolicyEvaluation:
         grid = BeliefGrid(11)
         pol = PolicyTable(grid, np.zeros(11))
         policy_evaluation(prob, pol, method="direct")
-        evaluate_cost(prob, pol, np.ones(11), method="direct")
         for method in ("sweep", "cholesky"):
             with pytest.raises(ValueError):
                 policy_evaluation(prob, pol, method=method)
-            with pytest.raises(ValueError):
-                evaluate_cost(prob, pol, np.ones(11), method=method)
 
 
 class TestCostEvaluation:
