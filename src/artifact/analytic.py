@@ -108,7 +108,7 @@ def symmetric_value(theta: float, gamma: float, beta: float) -> float:
     """
     sol = symmetric_solution(theta, gamma)
     u = abs(beta)
-    if u > 1.0:
+    if not u <= 1.0:
         raise ValueError(f"beta must lie in [-1, 1], got {beta}")
     main = (1.0 + u * (2.0 * theta - 1.0)) / (2.0 * (1.0 - gamma))
     if u == 1.0:

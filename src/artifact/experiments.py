@@ -95,7 +95,13 @@ class SweepManifest:
             # field takes only a JSON number
             if isinstance(x, bool) or not isinstance(x, numbers.Real):
                 raise InvalidManifest(f"malformed manifest field {key}: {x!r} is not a number")
-            return float(x)
+            try:
+                return float(x)
+            except OverflowError:
+                # a JSON integer has no size limit
+                raise InvalidManifest(
+                    f"malformed manifest field {key}: an integer beyond the float range"
+                ) from None
 
         def seq(key):
             # a grid is an array or one number, its singleton; a string or

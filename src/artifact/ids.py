@@ -39,7 +39,6 @@ from .solver import (
     PolicyTable,
     ValueFunction,
     _stencil,
-    _policy_from_q,
     mdp_value,
     policy_evaluation,
 )
@@ -166,7 +165,7 @@ def info_ratio(delta: float, info: float, alpha: float) -> float:
     """
     if not 0.0 < alpha <= 1.0:
         raise ValueError(f"alpha must lie in (0, 1], got {alpha}")
-    if delta < 0.0 or info < 0.0:
+    if not (delta >= 0.0 and info >= 0.0):
         raise ValueError("delta and info must be nonnegative")
     if delta > 0.0 and info == 0.0:
         raise DegenerateRatio(f"ratio {delta}/0 is undefined; use the guard path")
@@ -234,15 +233,14 @@ def ids_policy_on_grid(
 ) -> PolicyTable:
     """Pointwise ratio minimization at every grid node.
 
-    config.gamma must agree with prob.gamma; the boundary field is filled
-    when the resulting preferred action flips exactly once.
+    config.gamma must agree with prob.gamma.
     """
     if config.gamma != prob.gamma:
         raise ValueError(
             f"config.gamma={config.gamma} disagrees with prob.gamma={prob.gamma}"
         )
     ends = _grid_endpoints(prob.spec, prob.gamma, grid)
-    return _policy_from_q(grid, _ids_policy_q(prob.spec, config, grid.nodes, ends))
+    return PolicyTable(grid, _ids_policy_q(prob.spec, config, grid.nodes, ends))
 
 
 def _policy_mixture(prob, policy):

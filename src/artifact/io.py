@@ -94,6 +94,8 @@ def read_value_csv(path) -> ValueFunction:
             betas.append(beta)
             values.append(value)
     n = len(betas)
+    if n < 3 or n % 2 == 0:
+        raise ValueError(f"{path} holds {n} rows, not an odd number of at least 3")
     grid = BeliefGrid(n)
     if not np.allclose(grid.nodes, betas, atol=1e-9):
         raise ValueError(f"{path} does not hold a uniform odd grid on [-1, 1]")

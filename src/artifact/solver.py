@@ -126,12 +126,10 @@ class ValueFunction:
 
 @dataclass(frozen=True)
 class PolicyTable:
-    """Per-node probability of playing arm +1, plus the decision boundary
-    when the preferred action flips exactly once along the grid."""
+    """Per-node probability of playing arm +1 on a belief grid."""
 
     grid: BeliefGrid
     q: np.ndarray
-    boundary: float | None = None
 
     def __post_init__(self):
         q = np.asarray(self.q, dtype=float)
@@ -140,8 +138,15 @@ class PolicyTable:
         if not np.all((q >= 0.0) & (q <= 1.0)):
             raise ValueError("q entries must lie in [0, 1]")
         object.__setattr__(self, "q", q)
-        if self.boundary is not None and not -1.0 <= self.boundary <= 1.0:
-            raise ValueError("boundary must lie in [-1, 1]")
+
+    @property
+    def boundary(self) -> float | None:
+        """decision_boundary of the current q, or None when the preferred
+        action does not flip exactly once."""
+        try:
+            return decision_boundary(self)
+        except (NoBoundary, MultipleBoundaries):
+            return None
 
 
 class _Stencil:
@@ -533,7 +538,7 @@ def policy_evaluation(
     warm start for BiCGSTAB; the result is certified the same way.
     There is one method.  `method` accepts only "direct", its name,
     because callers such as benchmarks/selftest.py pass it; any other
-    value raises ValueError.  evaluate_cost takes no `method`.
+    value raises ValueError.
     """
     if method != "direct":
         raise ValueError(f"unknown method {method!r}")
@@ -602,7 +607,7 @@ def policy_iteration(
         krylov = how == "BiCGSTAB"
         qd2 = st.greedy(v)
         if np.array_equal(qd2, qd):
-            return ValueFunction(grid, v), _policy_from_q(grid, qd), k
+            return ValueFunction(grid, v), PolicyTable(grid, qd), k
         qd = qd2
     raise IterationLimit(
         f"policy iteration did not settle in {max_rounds} rounds",
@@ -660,8 +665,21 @@ def regret_curve(prob: DiscountedProblem, v: ValueFunction) -> ValueFunction:
     return ValueFunction(v.grid, mdp_value(prob, v.grid.nodes) - v.values)
 
 
-def _boundary_from_q(grid, qdist):
-    pref = qdist >= 0.5
+def extract_greedy_policy(prob: DiscountedProblem, v: ValueFunction) -> PolicyTable:
+    """Greedy policy of v by the step policy_iteration improves with: the
+    clear-lead rule with the myopic fallback of _Stencil.greedy."""
+    st = _stencil(prob, v.grid)
+    return PolicyTable(v.grid, st.greedy(v.values))
+
+
+def decision_boundary(policy: PolicyTable) -> float:
+    """Midpoint between the two nodes where the preferred action flips.
+
+    Raises NoBoundary or MultipleBoundaries when the flip count is not
+    exactly one; nodes with q = 0.5 count as preferring +1.
+    PolicyTable.boundary reads this, with None in place of either error.
+    """
+    pref = policy.q >= 0.5
     flips = np.nonzero(pref[1:] != pref[:-1])[0]
     if len(flips) == 0:
         raise NoBoundary("policy never switches preferred action")
@@ -670,32 +688,7 @@ def _boundary_from_q(grid, qdist):
             f"policy switches preferred action {len(flips)} times"
         )
     i = int(flips[0])
-    return float((grid.nodes[i] + grid.nodes[i + 1]) / 2.0)
-
-
-def _policy_from_q(grid, qdist):
-    try:
-        boundary = _boundary_from_q(grid, qdist)
-    except (NoBoundary, MultipleBoundaries):
-        boundary = None
-    return PolicyTable(grid, qdist, boundary)
-
-
-def extract_greedy_policy(prob: DiscountedProblem, v: ValueFunction) -> PolicyTable:
-    """Greedy policy of v by the step policy_iteration improves with: the
-    clear-lead rule with the myopic fallback of _Stencil.greedy.  The
-    boundary field is filled when the preference flips exactly once."""
-    st = _stencil(prob, v.grid)
-    return _policy_from_q(v.grid, st.greedy(v.values))
-
-
-def decision_boundary(policy: PolicyTable) -> float:
-    """Midpoint between the two nodes where the preferred action flips.
-
-    Raises NoBoundary or MultipleBoundaries when the flip count is not
-    exactly one; nodes with q = 0.5 count as preferring +1.
-    """
-    return _boundary_from_q(policy.grid, policy.q)
+    return float((policy.grid.nodes[i] + policy.grid.nodes[i + 1]) / 2.0)
 
 
 def reachable_beliefs(spec: BanditSpec, beta0: float, depth: int) -> np.ndarray:

@@ -79,6 +79,15 @@ class TestExponents:
 
 
 class TestSymmetricValue:
+    def test_beta_outside_range_rejected(self):
+        # NaN compares False, so a check written as `|beta| > 1` would pass it
+        sol = fair_coin_solution(0.7, 0.99)
+        for beta in (1.5, -1.5, math.nan):
+            with pytest.raises(ValueError):
+                symmetric_value(0.7, 0.9, beta)
+            with pytest.raises(ValueError):
+                fair_coin_value(sol, beta)
+
     def test_certainty_boundary_condition(self):
         for theta, gamma in [(0.55, 0.9), (0.7, 0.99), (0.9, 0.5)]:
             want = theta / (1.0 - gamma)

@@ -138,6 +138,8 @@ class TestManifestValidation:
             ("tol", "1e-6"),
             ("beta0", False),
             ("beta0", "0"),
+            ("alphas", [10**400]),
+            ("tol", 10**400),
         ]
         for key, val in cases:
             with pytest.raises(InvalidManifest, match=f"malformed manifest field {key}"):

@@ -146,6 +146,11 @@ class TestInfoRatio:
             info_ratio(0.1, 0.1, 1.5)
         with pytest.raises(ValueError):
             info_ratio(-0.1, 0.1, 0.5)
+        # NaN compares False, so a check written as `x < 0` would pass it
+        for delta, info, alpha in [(math.nan, 1.0, 0.5), (0.1, math.nan, 0.5),
+                                   (math.nan, 1.0, 1.0)]:
+            with pytest.raises(ValueError):
+                info_ratio(delta, info, alpha)
 
 
 class TestActionSelection:

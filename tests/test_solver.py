@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -407,13 +408,21 @@ class TestPolicyExtraction:
         assert abs(pol.boundary) <= grid.spacing
 
     def test_decision_boundary_flip_counting(self):
+        # a table is its q: .boundary is decision_boundary, None where it raises
         g = BeliefGrid(5)
+        never = PolicyTable(g, np.ones(5))
         with pytest.raises(NoBoundary):
-            decision_boundary(PolicyTable(g, np.ones(5)))
+            decision_boundary(never)
+        assert never.boundary is None
+        many = PolicyTable(g, np.array([0.0, 1.0, 0.0, 1.0, 0.0]))
         with pytest.raises(MultipleBoundaries):
-            decision_boundary(PolicyTable(g, np.array([0.0, 1.0, 0.0, 1.0, 0.0])))
-        bc = decision_boundary(PolicyTable(g, np.array([0.0, 0.0, 0.0, 1.0, 1.0])))
+            decision_boundary(many)
+        assert many.boundary is None
+        once = PolicyTable(g, np.array([0.0, 0.0, 0.0, 1.0, 1.0]))
+        bc = decision_boundary(once)
         assert bc == pytest.approx(0.25)
+        assert once.boundary == bc
+        assert [f.name for f in dataclasses.fields(PolicyTable)] == ["grid", "q"]
 
     def test_policy_iteration_agrees_with_value_iteration(self):
         prob = DiscountedProblem(BanditSpec(0.55, 0.7), 0.99)

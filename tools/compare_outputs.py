@@ -1,0 +1,86 @@
+"""Run the same CLI commands on two checkouts and list the outputs that differ.
+
+    python3 tools/compare_outputs.py BASE_TREE [HEAD_TREE]
+
+HEAD_TREE defaults to the checkout holding this script.  Each tree runs
+every command of RUNS from its own src/, single-threaded, in a fresh
+temporary directory; a command's stdout and exit status count as one more
+output.  Outputs are compared byte for byte, except that the `elapsed_s`
+line of a sweep sidecar, a wall time, is dropped from every JSON file.
+Prints each output that differs or exists in one tree only, and exits 1
+when there is one.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import re
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ALPHAS = [0.0, 0.001, 0.01, 0.05, 0.075] + [round(0.1 + 0.05 * k, 2) for k in range(19)]
+# the benchmark's alpha-sweep manifest (benchmarks/run.py), writing to out/
+SWEEP = {
+    "kind": "alpha", "theta_minus": [0.55], "theta_plus": [0.7],
+    "gammas": [0.99], "alphas": ALPHAS, "grid": 801, "out_dir": "out",
+}
+# long-horizon, fine-grid and alpha-sweep are the benchmark's workloads
+RUNS = {
+    "solve-long-horizon": ["solve", "--theta-minus", "0.7", "--theta-plus", "0.7",
+                           "--gamma", "0.9999", "--out", "out"],
+    "solve-json": ["solve", "--theta-minus", "0.55", "--theta-plus", "0.7",
+                   "--gamma", "0.99", "--format", "json", "--out", "out"],
+    "ids-fine-grid": ["ids", "--theta-minus", "0.55", "--theta-plus", "0.7", "--gamma", "0.99",
+                      "--alpha", "0.5", "--grid", "20001", "--out", "out"],
+    "compare": ["compare", "--theta-minus", "0.5", "--theta-plus", "0.7",
+                "--gamma", "0.99", "--grid", "801", "--out", "out"],
+    "alpha-sweep": ["sweep", "manifest.json"],
+}
+ELAPSED = re.compile(rb'^\s*"elapsed_s": [^\n]*\n', re.M)
+
+
+def run_all(tree: Path, work: Path) -> dict:
+    """Every output of RUNS on `tree`, keyed by run and relative path."""
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"), OPENBLAS_NUM_THREADS="1",
+               OMP_NUM_THREADS="1", ARTIFACT_WORKERS="1")
+    outputs = {}
+    for name, args in RUNS.items():
+        cwd = work / name
+        cwd.mkdir(parents=True)
+        if args[0] == "sweep":
+            (cwd / args[1]).write_text(json.dumps(SWEEP))
+        proc = subprocess.run([sys.executable, "-m", "artifact.cli", *args],
+                              cwd=cwd, env=env, capture_output=True)
+        outputs[f"{name}: stdout"] = proc.stdout + f"exit {proc.returncode}\n".encode()
+        for f in sorted((cwd / "out").rglob("*")):
+            if f.is_file():
+                data = f.read_bytes()
+                outputs[f"{name}: {f.relative_to(cwd)}"] = (
+                    ELAPSED.sub(b"", data) if f.suffix == ".json" else data
+                )
+    return outputs
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) not in (1, 2):
+        print("usage: compare_outputs.py BASE_TREE [HEAD_TREE]", file=sys.stderr)
+        return 2
+    base = Path(argv[0]).resolve()
+    head = Path(argv[1]).resolve() if len(argv) == 2 else Path(__file__).resolve().parents[1]
+    with tempfile.TemporaryDirectory() as tmp:
+        old = run_all(base, Path(tmp, "base"))
+        new = run_all(head, Path(tmp, "head"))
+    keys = sorted(old.keys() | new.keys())
+    differ = [k for k in keys if old.get(k) != new.get(k)]
+    for k in differ:
+        where = "differs" if k in old and k in new else f"only in {'base' if k in old else 'head'}"
+        print(f"{where}: {k}")
+    print(f"{len(differ)} of {len(keys)} outputs differ between {base} and {head}")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
