@@ -169,6 +169,8 @@ class SweepManifest:
                 raise InvalidManifest(f"alpha value {a} outside [0, 1]")
         if self.grid < 3 or self.grid % 2 == 0:
             raise InvalidManifest(f"grid must be odd and >= 3, got {self.grid}")
+        if self.grid > np.iinfo(np.intp).max:
+            raise InvalidManifest(f"grid must be at most {np.iinfo(np.intp).max}, got {self.grid}")
         if self.tol is not None and not (math.isfinite(self.tol) and self.tol > 0.0):
             raise InvalidManifest(f"tol must be positive and finite when given, got {self.tol}")
         if not -1.0 <= self.beta0 <= 1.0:

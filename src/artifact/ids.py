@@ -151,7 +151,10 @@ def ratio(d, i, alpha: float):
 
     Zero regret gives 0 whatever the information; positive regret
     without information gives inf, as does a value beyond the float range.
+    An alpha outside [0, 1], or NaN, raises ValueError.
     """
+    if not 0.0 <= alpha <= 1.0:
+        raise ValueError(f"alpha must lie in [0, 1], got {alpha}")
     with np.errstate(over="ignore"):
         return np.exp(_scaled_log_ratio(d, i, alpha) / (alpha if alpha > 0.0 else 1.0))
 
@@ -300,9 +303,11 @@ def regret_bound(
     is recomputed by a direct solve unless `value` is supplied.  `holds`
     compares the measured regret against the bound plus a slack of 1e-6
     times max(1, bound).  A beta0 outside [-1, 1], or NaN, raises
-    ValueError.
+    ValueError, as does a `value` on another grid than the policy's.
     """
     beta0 = _check_beta(beta0)
+    if value is not None and value.grid != policy.grid:
+        raise ValueError("value must lie on the policy's grid")
     s = scaled_log_sup_ratio(prob, policy, alpha)
     h0 = entropy(beta0)
     if alpha < 1.0 and h0 == 0.0:

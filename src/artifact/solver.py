@@ -75,10 +75,11 @@ class BeliefGrid:
     n_points: int
 
     def __post_init__(self):
-        if self.n_points < 3 or self.n_points % 2 == 0:
-            raise ValueError(
-                f"n_points must be an odd integer >= 3, got {self.n_points}"
-            )
+        n, top = self.n_points, np.iinfo(np.intp).max
+        if n < 3 or n % 2 == 0:
+            raise ValueError(f"n_points must be an odd integer >= 3, got {n}")
+        if n > top:
+            raise ValueError(f"n_points must be at most {top}, got {n}")
 
     @cached_property
     def nodes(self) -> np.ndarray:
@@ -197,22 +198,14 @@ class _Stencil:
     def policy_reward(self, qdist):
         return (1.0 - qdist) * self.r[-1] + qdist * self.r[1]
 
-    @cached_property
-    def cols(self):
-        """Column of every stencil entry, shape (8, n): the lower and the
-        upper interpolation node of each (action, outcome) update."""
-        return np.stack([
-            jj for a in (-1, 1) for y in (0, 1)
-            for jj in (self.j[(a, y)], self.j[(a, y)] + 1)
-        ])
-
     def policy_system(self, qdist):
         """The policy system I - gamma*M of a per-node mixing weight,
         holding only the entries of the arms a node plays.
 
         Every row leads with the four entries of one arm: +1 where
         q = 1, -1 elsewhere.  Mixed rows (0 < q < 1) add the four arm +1
-        entries after them, so each row sums in the order of `cols`; an
+        entries after them, so each row sums arm -1 before arm +1,
+        outcome 0 before 1 and the lower neighbour before the upper; an
         entry left out carries an exact zero weight."""
         def weights(w, p, t):
             wp = w * p
@@ -221,13 +214,16 @@ class _Stencil:
         plus = qdist == 1.0
         mixed = np.flatnonzero((qdist > 0.0) & (qdist < 1.0))
         lead = np.where(plus, qdist, 1.0 - qdist)
-        data, extra = [], []
+        data, extra, cols, extra_cols = [], [], [], []
         for y in (0, 1):
             data += weights(lead, np.where(plus, self.p[(1, y)], self.p[(-1, y)]),
                             np.where(plus, self.t[(1, y)], self.t[(-1, y)]))
             extra += weights(qdist[mixed], self.p[(1, y)][mixed], self.t[(1, y)][mixed])
-        cols = np.where(plus, self.cols[4:], self.cols[:4])
-        return _PolicySystem(cols, np.stack(data), mixed, self.cols[4:, mixed],
+            jj = np.where(plus, self.j[(1, y)], self.j[(-1, y)])
+            jm = self.j[(1, y)][mixed]
+            cols += [jj, jj + 1]
+            extra_cols += [jm, jm + 1]
+        return _PolicySystem(np.stack(cols), np.stack(data), mixed, np.stack(extra_cols),
                              np.stack(extra), self.prob.gamma)
 
 
@@ -240,7 +236,6 @@ def _stencil(prob, grid):
     for table in (st.p, st.j, st.t):
         for arr in table.values():
             arr.flags.writeable = False
-    st.cols.flags.writeable = False
     return st
 
 

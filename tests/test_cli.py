@@ -92,6 +92,17 @@ class TestSolve:
         )
         assert rc == 2
 
+    def test_grid_beyond_index_range_exits_2(self, tmp_path, capsys):
+        rc = cli.main(
+            [
+                "ids",
+                "--theta-minus", "0.55", "--theta-plus", "0.7", "--gamma", "0.9",
+                "--alpha", "0.5", "--grid", str(10**30 + 1), "--out", str(tmp_path),
+            ]
+        )
+        assert rc == 2
+        assert "n_points must be at most" in capsys.readouterr().err
+
     def test_nonpositive_tol_exits_2(self, tmp_path, capsys):
         rc = cli.main(
             [
@@ -470,6 +481,13 @@ class TestSweep:
         )
         rc = cli.main(["sweep", str(path)])
         assert rc == 2
+
+    def test_grid_beyond_index_range_exits_2(self, tmp_path, capsys):
+        path = self.write_manifest(
+            tmp_path, {"kind": "curves", "theta_plus": [0.7], "gammas": [0.9], "grid": 10**400 + 1}
+        )
+        assert cli.main(["sweep", str(path)]) == 2
+        assert "grid must be at most" in capsys.readouterr().err
 
     def test_null_out_dir_exits_2(self, tmp_path, monkeypatch, capsys):
         # str(None) would send the sweep to a directory named "None"

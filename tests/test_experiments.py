@@ -109,6 +109,12 @@ class TestManifestValidation:
         with pytest.raises(InvalidManifest, match="grid"):
             make_manifest(grid=1)
 
+    def test_rejects_grid_beyond_index_range(self):
+        # such a grid passed validation and failed later inside numpy
+        for grid in (10**400 + 1, 2**63 + 1):
+            with pytest.raises(InvalidManifest, match=f"at most {np.iinfo(np.intp).max}"):
+                make_manifest(grid=grid)
+
     def test_rejects_non_integral_grid(self):
         for grid in (801.9, 801.0, True):
             with pytest.raises(InvalidManifest, match="grid"):

@@ -371,6 +371,15 @@ class TestSupRatioAndBound:
         with pytest.raises(ValueError, match="beta must lie in"):
             regret_bound(prob, pol, 0.5, b0)
 
+    def test_value_must_share_the_grid(self):
+        # a value on another grid would be interpolated into a wrong bound
+        prob = DiscountedProblem(BanditSpec(0.55, 0.7), 0.5)
+        config = IdsConfig(alpha=0.5, gamma=0.5)
+        pol = ids_policy_on_grid(prob, BeliefGrid(201), config)
+        v = policy_evaluation(prob, ids_policy_on_grid(prob, BeliefGrid(11), config))
+        with pytest.raises(ValueError, match="grid"):
+            regret_bound(prob, pol, 0.5, 0.0, value=v)
+
     def test_symmetric_bound_holds_at_uniform_start(self):
         prob = DiscountedProblem(BanditSpec(0.7, 0.7), 0.99)
         grid = BeliefGrid(801)
@@ -482,6 +491,15 @@ class TestRatioTable:
             DiscountedProblem(BanditSpec(0.55, 0.7), 0.9), grid, IdsConfig(alpha=0.5, gamma=0.9)
         )
         assert calls == [201, 201]
+
+    @pytest.mark.parametrize("alpha", [-1.0, 1.5, math.nan])
+    def test_alpha_outside_unit_interval_raises(self, alpha):
+        prob = DiscountedProblem(BanditSpec(0.55, 0.7), 0.99)
+        pol = ids_policy_on_grid(prob, BeliefGrid(11), IdsConfig(alpha=0.5, gamma=0.99))
+        with pytest.raises(ValueError, match="alpha must lie in"):
+            ratio([0.1], [0.2], alpha)
+        with pytest.raises(ValueError, match="alpha must lie in"):
+            ratio_table(prob, pol, alpha)
 
     def test_shared_endpoints_are_read_only(self):
         prob = DiscountedProblem(BanditSpec(0.55, 0.7), 0.99)

@@ -51,6 +51,10 @@ class TestGridAndContainers:
         with pytest.raises(ValueError):
             BeliefGrid(1)
 
+    def test_grid_beyond_index_range_is_rejected(self):
+        with pytest.raises(ValueError, match=f"at most {np.iinfo(np.intp).max}"):
+            BeliefGrid(10**400 + 1)
+
     def test_grid_geometry(self):
         g = BeliefGrid(5)
         np.testing.assert_allclose(g.nodes, [-1.0, -0.5, 0.0, 0.5, 1.0])
@@ -503,9 +507,16 @@ POLICY_KINDS = {
 }
 
 
+def eight_entry_cols(st):
+    """Columns of the full stencil, shape (8, n): the lower and the upper
+    interpolation node over both arms and both outcomes, in that order."""
+    return np.stack([jj for a in (-1, 1) for y in (0, 1)
+                     for jj in (st.j[(a, y)], st.j[(a, y)] + 1)])
+
+
 def eight_entry_data(st, q):
     """Weights of the full stencil of policy q, shape (8, n), in the
-    order of st.cols: both arms, both outcomes, both neighbours."""
+    order of eight_entry_cols: both arms, both outcomes, both neighbours."""
     data = []
     for a, w in ((-1, 1.0 - q), (1, q)):
         for y in (0, 1):
@@ -527,13 +538,13 @@ class TestPolicySystem:
         st = solver._stencil(DiscountedProblem(BanditSpec(tm, tp), gamma), BeliefGrid(n))
         rng = np.random.default_rng(n)
         q = POLICY_KINDS[kind](rng, n)
-        data = eight_entry_data(st, q)
+        data, cols = eight_entry_data(st, q), eight_entry_cols(st)
         A = st.policy_system(q)
         for v in (rng.normal(size=n), 1e3 * rng.normal(size=n), np.ones(n)):
-            want = v - gamma * np.einsum("ij,ij->j", data, v[st.cols])
+            want = v - gamma * np.einsum("ij,ij->j", data, v[cols])
             assert np.array_equal(A @ v, want)
         ref = np.zeros((n, n))
-        np.add.at(ref, (np.tile(np.arange(n), 8), st.cols.ravel()), data.ravel())
+        np.add.at(ref, (np.tile(np.arange(n), 8), cols.ravel()), data.ravel())
         assert np.array_equal(A.transition().toarray(), ref)
 
     def test_transition_drops_only_the_idle_arm(self):
@@ -549,7 +560,8 @@ class TestPolicySystem:
         st = solver._stencil(prob, grid)
         n = grid.n_points
         full = sp.csr_matrix((eight_entry_data(st, pol.q).ravel(),
-                              (np.tile(np.arange(n), 8), st.cols.ravel())), shape=(n, n))
+                              (np.tile(np.arange(n), 8), eight_entry_cols(st).ravel())),
+                             shape=(n, n))
         assert M.nnz < full.nnz
         eye = sp.identity(n, format="csr")
         A, A_full = eye - prob.gamma * M, eye - prob.gamma * full
@@ -815,8 +827,20 @@ class TestSlowModes:
         prob = DiscountedProblem(BanditSpec(0.55, 0.7), 0.9)
         st = solver._stencil(prob, BeliefGrid(201))
         assert solver._stencil(prob, BeliefGrid(201)) is st
-        arrays = [*st.p.values(), *st.j.values(), *st.t.values(), st.cols]
+        arrays = [*st.p.values(), *st.j.values(), *st.t.values()]
         assert not any(a.flags.writeable for a in arrays)
+
+    def test_stencil_holds_twelve_node_arrays(self):
+        # p, j and t of each (arm, outcome); r aliases p, and the policy
+        # system builds its columns from j instead of a cached copy
+        n = 201
+        st = solver._stencil(DiscountedProblem(BanditSpec(0.55, 0.7), 0.9), BeliefGrid(n))
+        found = {}
+        for attr in vars(st).values():
+            for a in (attr.values() if isinstance(attr, dict) else [attr]):
+                if isinstance(a, np.ndarray):
+                    found[id(a)] = a
+        assert sum(a.nbytes for a in found.values()) == 12 * 8 * n
 
 
 class TestReachableBeliefs:
