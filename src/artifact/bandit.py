@@ -8,9 +8,10 @@ are a single number beta in [-1, 1] through b(s) = (1 + s*beta) / 2.
 
 The belief arithmetic lives here, for arrays: `posterior` is the one Bayes
 update (predictive probability and posterior belief) that the solver and
-the IDS modules run over whole grids, and `regret_gap` and `entropy` also
-accept arrays.  The remaining helpers are checked scalar functions;
-`obs_prob`, `expected_reward` and `belief_update` wrap `posterior`.
+the IDS modules run over whole grids, and `regret_gap`, `entropy` and
+`mutual_information` also accept arrays.  The remaining helpers are
+checked scalar functions; `obs_prob`, `expected_reward` and
+`belief_update` wrap `posterior`.
 """
 
 from __future__ import annotations
@@ -225,26 +226,38 @@ def entropy(beta):
     return h
 
 
-def mutual_information(spec: BanditSpec, beta: float, a: int) -> float:
-    """Mutual information (nats) between the state and one outcome of arm a.
+def mutual_information(spec: BanditSpec, beta, a: int):
+    """Mutual information (nats) between the state and one outcome of arm
+    a, at a scalar belief or elementwise over an array of beliefs.
 
     Computed as the exact four-term sum
     sum_{s,y} b(s) p(y|s,a) log[p(y|s,a) / p_b(y|a)], skipping zero terms.
+    A ratio near 1 is logged as log1p(u / p_b(y|a)) of the exact difference
+    u = p(y|s,a) - p_b(y|a) = c*d*(s - beta)/2, with c = a*(2y-1) and
+    d = 2*theta_a - 1.  The terms are summed in the order of (c, s), so
+    matched arms give the two arms bit-identical information.
     """
     _check_sign("a", a)
-    beta = _check_beta(beta)
+    # a scalar goes through a 0-d array too: a zero or subnormal p_b then
+    # divides under errstate rather than raising ZeroDivisionError
+    b = np.asarray(_check_beta(beta) if np.ndim(beta) == 0 else beta, dtype=float)
+    th, d = spec.theta(a), spec.bias(a)
+    bs = {-1: (1.0 - b) / 2.0, 1: (1.0 + b) / 2.0}
     out = 0.0
-    for y in (0, 1):
-        pb = obs_prob(spec, beta, a, y)
-        if pb <= 0.0:
-            continue
-        for s in (-1, 1):
-            bs = (1.0 + s * beta) / 2.0
-            pys = win_prob(spec, s, a) if y == 1 else 1.0 - win_prob(spec, s, a)
-            if bs > 0.0 and pys > 0.0:
-                out += bs * pys * math.log(pys / pb)
+    with np.errstate(all="ignore"):
+        for c in (-1, 1):
+            pys = {s: th if c * s == 1 else 1.0 - th for s in (-1, 1)}
+            # a sum of positive terms: (1 + c*beta*d)/2 cancels near |beta| = 1
+            pb = bs[-1] * pys[-1] + bs[1] * pys[1]
+            for s in (-1, 1):
+                x = c * d * (s - b) / 2.0 / pb
+                # far from 1 the plain ratio keeps a tiny p(y|s) that x rounds away
+                log_ratio = np.where(x > -0.5, np.log1p(x), np.log(pys[s] / pb))
+                keep = (pb > 0.0) & (bs[s] > 0.0) & (pys[s] > 0.0)
+                out = out + np.where(keep, bs[s] * pys[s] * log_ratio, 0.0)
     # information is nonnegative; rounding can leave a tiny negative residue
-    return out if out > 0.0 else 0.0
+    out = np.maximum(out, 0.0)
+    return float(out) if np.ndim(beta) == 0 else out
 
 
 def regret_gap(spec: BanditSpec, beta, a: int):

@@ -106,10 +106,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _problem(args):
-    """The problem, the grid and the checked --tol, default filled in."""
+    """The problem, the grid, the checked --tol and the fields that open every summary."""
     spec = BanditSpec(args.theta_minus, args.theta_plus)
     prob = DiscountedProblem(spec, args.gamma)
-    return prob, BeliefGrid(args.grid), _resolve_tol(prob.gamma, args.tol)
+    grid = BeliefGrid(args.grid)
+    header = {
+        "theta_minus": spec.theta_minus,
+        "theta_plus": spec.theta_plus,
+        "gamma": prob.gamma,
+        "grid_points": grid.n_points,
+    }
+    return prob, grid, _resolve_tol(prob.gamma, args.tol), header
 
 
 def _outdir(args):
@@ -136,16 +143,13 @@ def _write_solution(args, out, stem, summary, v, regret, policy):
 
 
 def cmd_solve(args) -> int:
-    prob, grid, tol = _problem(args)
+    prob, grid, tol, header = _problem(args)
     out = _outdir(args)
     v, policy, rounds = policy_iteration(prob, grid)
     bound = certify_optimal(prob, v, tol)
     regret = regret_curve(prob, v)
     summary = {
-        "theta_minus": prob.spec.theta_minus,
-        "theta_plus": prob.spec.theta_plus,
-        "gamma": prob.gamma,
-        "grid_points": grid.n_points,
+        **header,
         "tolerance": tol,
         "iterations": rounds,
         "error_bound": bound,
@@ -162,7 +166,7 @@ def cmd_solve(args) -> int:
 
 
 def cmd_ids(args) -> int:
-    prob, grid, tol = _problem(args)
+    prob, grid, tol, header = _problem(args)
     config = IdsConfig(alpha=args.alpha, gamma=prob.gamma)
     out = _outdir(args)
     policy = ids_policy_on_grid(prob, grid, config)
@@ -171,11 +175,8 @@ def cmd_ids(args) -> int:
     psi = sup_info_ratio(prob, policy, args.alpha)
     bound, holds = regret_bound(prob, policy, args.alpha, 0.0, value=v)
     summary = {
-        "theta_minus": prob.spec.theta_minus,
-        "theta_plus": prob.spec.theta_plus,
-        "gamma": prob.gamma,
+        **header,
         "alpha": args.alpha,
-        "grid_points": grid.n_points,
         "boundary": policy.boundary,
         "sup_ratio": artio.json_number(psi),
         "scaled_log_sup_ratio": artio.json_number(
@@ -199,7 +200,7 @@ def cmd_ids(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    prob, grid, tol = _problem(args)
+    prob, grid, tol, header = _problem(args)
     spec = prob.spec
     symmetric = spec.symmetric and 0.5 < spec.theta_plus < 1.0
     fair = spec.theta_minus == 0.5 and 0.5 < spec.theta_plus < 1.0
@@ -217,15 +218,14 @@ def cmd_compare(args) -> int:
     if symmetric:
         pts = reachable_beliefs(spec, 0.0, 6)
         ana = np.array([symmetric_value(spec.theta_plus, prob.gamma, b) for b in pts])
-        num = np.array([v(b) for b in pts])
         rel_tol = 1e-3
         verdict_scope = "value deviation at depth-6 reachable beliefs"
     else:
         sol = fair_coin_solution(spec.theta_plus, prob.gamma)
         pts = grid.nodes[:: max(1, (grid.n_points - 1) // 200)]
         ana = np.array([fair_coin_value(sol, b) for b in pts])
-        num = np.array([v(b) for b in pts])
         verdict_scope = "decision boundary against the closed-form approximation"
+    num = v(pts)
     abs_dev = np.abs(num - ana)
     rel_dev = abs_dev / np.maximum(np.abs(num), 1e-300)
     artio.write_rows_csv(
@@ -248,10 +248,7 @@ def cmd_compare(args) -> int:
     artio.write_json_doc(
         os.path.join(out, "compare_summary.json"),
         {
-            "theta_minus": spec.theta_minus,
-            "theta_plus": spec.theta_plus,
-            "gamma": prob.gamma,
-            "grid_points": grid.n_points,
+            **header,
             "subclass": "symmetric" if symmetric else "fair_coin",
             "max_abs_dev": float(np.max(abs_dev)),
             "max_rel_dev": float(np.max(rel_dev)),
@@ -263,11 +260,7 @@ def cmd_compare(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    try:
-        manifest = SweepManifest.from_json(args.manifest)
-    except (OSError, InvalidManifest) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    manifest = SweepManifest.from_json(args.manifest)
     outcome = run_manifest(manifest)
     result = outcome["result"]
     print(f"sweep {manifest.kind}: {len(result.rows)} rows, "
@@ -292,7 +285,7 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, InvalidManifest) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except BanditError as exc:

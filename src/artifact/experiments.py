@@ -15,7 +15,6 @@ than aborting the sweep.
 from __future__ import annotations
 
 import json
-import math
 import numbers
 import os
 import time
@@ -26,12 +25,13 @@ import numpy as np
 
 from . import io as artio
 from .analytic import fit_log_regret_expansion
-from .bandit import BanditSpec
+from .bandit import BanditSpec, _check_beta
 from .errors import BanditError, InvalidManifest
 from .ids import IdsConfig, ids_policy_on_grid
 from .solver import (
     BeliefGrid,
     DiscountedProblem,
+    _resolve_tol,
     certify_optimal,
     mdp_value,
     policy_evaluation,
@@ -125,21 +125,18 @@ class SweepManifest:
         out_dir = raw.get("out_dir", ".")
         if not isinstance(out_dir, str):
             raise InvalidManifest(f"malformed manifest field out_dir: {out_dir!r} is not a string")
-        try:
-            m = cls(
-                kind=raw.get("kind", ""),
-                theta_minus=seq("theta_minus"),
-                theta_plus=seq("theta_plus"),
-                gammas=seq("gammas"),
-                alphas=seq("alphas"),
-                grid=int(grid),
-                tol=None if raw.get("tol") is None else number("tol", raw["tol"]),
-                beta0=number("beta0", raw.get("beta0", 0.0)),
-                symmetric=symmetric,
-                out_dir=out_dir,
-            )
-        except (TypeError, ValueError) as exc:
-            raise InvalidManifest(f"malformed manifest field: {exc}") from exc
+        m = cls(
+            kind=raw.get("kind", ""),
+            theta_minus=seq("theta_minus"),
+            theta_plus=seq("theta_plus"),
+            gammas=seq("gammas"),
+            alphas=seq("alphas"),
+            grid=int(grid),
+            tol=None if raw.get("tol") is None else number("tol", raw["tol"]),
+            beta0=number("beta0", raw.get("beta0", 0.0)),
+            symmetric=symmetric,
+            out_dir=out_dir,
+        )
         m.validate()
         return m
 
@@ -157,24 +154,21 @@ class SweepManifest:
             raise InvalidManifest(
                 f"kind must be one of {_KINDS}, got {self.kind!r}"
             )
-        for name in ("theta_minus", "theta_plus"):
-            for v in getattr(self, name):
-                if not 0.0 <= v <= 1.0:
-                    raise InvalidManifest(f"{name} value {v} outside [0, 1]")
-        for g in self.gammas:
-            if not 0.0 <= g < 1.0:
-                raise InvalidManifest(f"gamma value {g} outside [0, 1)")
-        for a in self.alphas:
-            if not 0.0 <= a <= 1.0:
-                raise InvalidManifest(f"alpha value {a} outside [0, 1]")
-        if self.grid < 3 or self.grid % 2 == 0:
-            raise InvalidManifest(f"grid must be odd and >= 3, got {self.grid}")
-        if self.grid > np.iinfo(np.intp).max:
-            raise InvalidManifest(f"grid must be at most {np.iinfo(np.intp).max}, got {self.grid}")
-        if self.tol is not None and not (math.isfinite(self.tol) and self.tol > 0.0):
-            raise InvalidManifest(f"tol must be positive and finite when given, got {self.tol}")
-        if not -1.0 <= self.beta0 <= 1.0:
-            raise InvalidManifest(f"beta0 {self.beta0} outside [-1, 1]")
+        # each value's domain rule is the library type's that owns it
+        for name, rule, values in (
+            ("theta_minus", lambda v: BanditSpec(v, 0.5), self.theta_minus),
+            ("theta_plus", lambda v: BanditSpec(0.5, v), self.theta_plus),
+            ("gammas", lambda v: DiscountedProblem(BanditSpec(0.5, 0.5), v), self.gammas),
+            ("alphas", lambda v: IdsConfig(alpha=v, gamma=0.0), self.alphas),
+            ("grid", BeliefGrid, (self.grid,)),
+            ("tol", lambda v: _resolve_tol(0.0, v), (self.tol,)),
+            ("beta0", _check_beta, (self.beta0,)),
+        ):
+            try:
+                for v in values:
+                    rule(v)
+            except ValueError as exc:
+                raise InvalidManifest(f"manifest field {name}: {exc}") from None
         if self.kind == "curves":
             if not self.theta_plus or not self.gammas:
                 raise InvalidManifest("curves needs theta_plus and gammas")
@@ -253,25 +247,28 @@ def _curve_cell(theta, gamma, symmetric, n, tol):
     return (float(np.max(r)) if symmetric else float(r[(n - 1) // 2]),)
 
 
+def _ids_values(prob, alpha, n, tol):
+    """The optimal value on n nodes, and IDS(alpha)'s warm-started from it."""
+    vopt = _optimal_solve(prob, BeliefGrid(n), tol)
+    policy = ids_policy_on_grid(prob, vopt.grid, IdsConfig(alpha=alpha, gamma=prob.gamma))
+    return vopt, policy_evaluation(prob, policy, x0=vopt)
+
+
 def _scaling_cell(spec, gamma, beta0, n, tol):
     """Optimal and IDS(0) regret at beta0."""
     prob = DiscountedProblem(spec, gamma)
-    vopt = _optimal_solve(prob, BeliefGrid(n), tol)
-    policy = ids_policy_on_grid(prob, vopt.grid, IdsConfig(alpha=0.0, gamma=gamma))
-    vids = policy_evaluation(prob, policy, x0=vopt)
+    vopt, vids = _ids_values(prob, 0.0, n, tol)
     v_mdp = mdp_value(prob, beta0)
     return float(v_mdp - vopt(beta0)), float(v_mdp - vids(beta0))
 
 
 def _gap_cell(tm, tp, gamma, alpha, n, tol):
     """Max relative excess of the IDS(alpha) regret over the optimal
-    regret, taken over beliefs whose optimal regret clears the floor.  The
-    IDS evaluation is warm-started from the optimal value."""
+    regret, taken over beliefs whose optimal regret clears the floor."""
     prob = DiscountedProblem(BanditSpec(tm, tp), gamma)
-    vopt = _optimal_solve(prob, BeliefGrid(n), tol)
+    vopt, vids = _ids_values(prob, alpha, n, tol)
     r_opt = regret_curve(prob, vopt).values
-    policy = ids_policy_on_grid(prob, vopt.grid, IdsConfig(alpha=alpha, gamma=gamma))
-    r_ids = regret_curve(prob, policy_evaluation(prob, policy, x0=vopt)).values
+    r_ids = regret_curve(prob, vids).values
     mask = r_opt > max(1e-6, 1e-4 * float(np.max(r_opt)))
     if not np.any(mask):
         return (0.0,)
@@ -390,23 +387,20 @@ def run_manifest(manifest: SweepManifest, n_workers=None) -> dict:
     # an unusable out_dir fails here, before any row is computed
     os.makedirs(manifest.out_dir, exist_ok=True)
     workers = resolve_workers(n_workers)
+    settings = {"grid": manifest.grid, "tol": manifest.tol, "n_workers": workers}
     if manifest.kind == "curves":
         result = max_regret_vs_theta(
             manifest.gammas,
             manifest.theta_plus,
             symmetric=manifest.symmetric,
-            grid=manifest.grid,
-            tol=manifest.tol,
-            n_workers=workers,
+            **settings,
         )
     elif manifest.kind == "scaling":
         result = regret_scaling_gamma(
             BanditSpec(manifest.theta_minus[0], manifest.theta_plus[0]),
             manifest.gammas,
             beta0=manifest.beta0,
-            grid=manifest.grid,
-            tol=manifest.tol,
-            n_workers=workers,
+            **settings,
         )
     elif manifest.kind == "heatmap":
         result = delta_R_heatmap(
@@ -414,9 +408,7 @@ def run_manifest(manifest: SweepManifest, n_workers=None) -> dict:
             manifest.theta_plus,
             manifest.gammas[0],
             manifest.alphas[0],
-            grid=manifest.grid,
-            tol=manifest.tol,
-            n_workers=workers,
+            **settings,
         )
     else:
         result = optimal_alpha_search(
@@ -424,9 +416,7 @@ def run_manifest(manifest: SweepManifest, n_workers=None) -> dict:
             manifest.theta_plus[0],
             manifest.gammas[0],
             manifest.alphas,
-            grid=manifest.grid,
-            tol=manifest.tol,
-            n_workers=workers,
+            **settings,
         )
     stem = f"{manifest.kind}_{manifest.digest()}"
     csv_path = os.path.join(manifest.out_dir, stem + ".csv")

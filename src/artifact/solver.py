@@ -26,6 +26,7 @@ never loads scipy.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -76,7 +77,8 @@ class BeliefGrid:
 
     def __post_init__(self):
         n, top = self.n_points, np.iinfo(np.intp).max
-        if n < 3 or n % 2 == 0:
+        # 801.0 would pass the parity test, and NaN every comparison
+        if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 3 or n % 2 == 0:
             raise ValueError(f"n_points must be an odd integer >= 3, got {n}")
         if n > top:
             raise ValueError(f"n_points must be at most {top}, got {n}")

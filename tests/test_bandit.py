@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from artifact.bandit import (
@@ -292,8 +292,30 @@ class TestMutualInformation:
         assert mutual_information(spec, beta, a) == pytest.approx(red, abs=1e-12)
 
     @given(specs, betas, actions)
+    # an outcome of probability zero: a Python float would raise
+    # ZeroDivisionError in the ratio
+    @example(BanditSpec(0.0, 1.0), 1.0, 1)
+    @example(BanditSpec(0.0, 1.0), -1.0, -1)
     def test_nonnegative(self, spec, beta, a):
         assert mutual_information(spec, beta, a) >= 0.0
+
+    def test_matches_extended_precision_references(self):
+        # 50-digit references of the four-term sum; near a fair coin its
+        # log ratios sit near 1, where a plain log lost up to 11% relative
+        cases = [
+            ((0.5, 0.51), 1 - 1e-9, 4.0005333462263098722e-13),
+            ((0.5, 0.55), 1 - 1e-12, 1.0033312814054445601e-14),
+            ((0.5, 0.51), -0.999999, 4.0005314606846415395e-10),
+        ]
+        for (tm, tp), beta, ref in cases:
+            got = mutual_information(BanditSpec(tm, tp), beta, 1)
+            assert abs(got - ref) <= 1e-13 * ref
+
+    @given(edge_specs, belief_arrays, actions)
+    def test_array_matches_scalar(self, spec, beliefs, a):
+        got = mutual_information(spec, np.array(beliefs), a)
+        want = [mutual_information(spec, b, a) for b in beliefs]
+        assert np.array_equal(got, want)
 
 
 class TestOneStepRegret:

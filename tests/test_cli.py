@@ -487,7 +487,17 @@ class TestSweep:
             tmp_path, {"kind": "curves", "theta_plus": [0.7], "gammas": [0.9], "grid": 10**400 + 1}
         )
         assert cli.main(["sweep", str(path)]) == 2
-        assert "grid must be at most" in capsys.readouterr().err
+        assert "grid: n_points must be at most" in capsys.readouterr().err
+
+    def test_out_of_domain_fields_exit_2_naming_the_field(self, tmp_path, capsys):
+        # each field's domain rule is its library type's, and the message
+        # still names the manifest field
+        base = {"kind": "curves", "theta_plus": [0.7], "gammas": [0.9], "grid": 101}
+        for key, val in [("grid", 100), ("beta0", 1.5), ("tol", 0.0), ("theta_plus", [1.2]),
+                         ("gammas", [1.0])]:
+            path = self.write_manifest(tmp_path, dict(base, **{key: val}))
+            assert cli.main(["sweep", str(path)]) == 2
+            assert f"error: manifest field {key}: " in capsys.readouterr().err
 
     def test_null_out_dir_exits_2(self, tmp_path, monkeypatch, capsys):
         # str(None) would send the sweep to a directory named "None"

@@ -115,6 +115,14 @@ class TestManifestValidation:
             with pytest.raises(InvalidManifest, match=f"at most {np.iinfo(np.intp).max}"):
                 make_manifest(grid=grid)
 
+    def test_manifest_built_directly_meets_the_grid_rule(self):
+        # validate() runs BeliefGrid's own rule, so a non-integral grid
+        # that skips from_dict's JSON layer is refused as well
+        for grid in (801.5, 801.0, float("nan")):
+            m = SweepManifest(kind="curves", theta_plus=(0.7,), gammas=(0.9,), grid=grid)
+            with pytest.raises(InvalidManifest, match="manifest field grid"):
+                m.validate()
+
     def test_rejects_non_integral_grid(self):
         for grid in (801.9, 801.0, True):
             with pytest.raises(InvalidManifest, match="grid"):

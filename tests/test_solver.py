@@ -51,6 +51,14 @@ class TestGridAndContainers:
         with pytest.raises(ValueError):
             BeliefGrid(1)
 
+    def test_grid_requires_an_integer(self):
+        # 801.0 passes the parity test and NaN fails every comparison, so
+        # both used to pass construction and fail later inside numpy
+        for n in (801.5, 801.0, float("nan"), True, "801"):
+            with pytest.raises(ValueError, match="odd integer"):
+                BeliefGrid(n)
+        assert BeliefGrid(np.int64(801)).n_points == 801
+
     def test_grid_beyond_index_range_is_rejected(self):
         with pytest.raises(ValueError, match=f"at most {np.iinfo(np.intp).max}"):
             BeliefGrid(10**400 + 1)
@@ -612,18 +620,25 @@ class TestSolveKernel:
         return calls
 
     def test_kernel_matches_scipy_bicgstab(self, case):
+        # scipy's BiCGSTAB on the same stencil product takes the same
+        # steps: the same iterate, bit for bit, in the same count
         prob, pol = case
         st = solver._Stencil(prob, pol.grid)
         A, b = st.policy_system(pol.q), st.policy_reward(pol.q)
         x, info, iterations = solver._bicgstab(
             A, b, rtol=solver._KRYLOV_RTOL, maxiter=solver._KRYLOV_MAXITER
         )
+        kw = {"rtol": solver._KRYLOV_RTOL, "atol": 0.0, "maxiter": solver._KRYLOV_MAXITER}
         steps = []
+        op = spla.LinearOperator((len(b), len(b)), matvec=lambda v: A @ v, dtype=float)
+        x_op, info_op = spla.bicgstab(op, b, callback=steps.append, **kw)
+        assert info == info_op == 0
+        assert np.array_equal(x, x_op)
+        assert iterations == len(steps)
+        # the CSR assembly of the same system meets the LU certificate too
         csr = sp.identity(len(b), format="csr") - prob.gamma * A.transition()
-        x_sp, info_sp = spla.bicgstab(csr, b, rtol=solver._KRYLOV_RTOL, atol=0.0,
-                                      maxiter=solver._KRYLOV_MAXITER, callback=steps.append)
-        assert info == info_sp == 0
-        assert abs(iterations - len(steps)) <= 1
+        x_sp, info_sp = spla.bicgstab(csr, b, **kw)
+        assert info_sp == 0
         lu = A.lu_solve(b)
 
         def cert(v):

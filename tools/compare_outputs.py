@@ -4,8 +4,8 @@
 
 HEAD_TREE defaults to the checkout holding this script.  Each tree runs
 every command of RUNS from its own src/, single-threaded, in a fresh
-temporary directory; a command's stdout and exit status count as one more
-output.  Outputs are compared byte for byte, except that the `elapsed_s`
+temporary directory, a sweep with its manifest from MANIFESTS; a command's
+stdout with its exit status, and its stderr, count as two more outputs.  Outputs are compared byte for byte, except that the `elapsed_s`
 line of a sweep sidecar, a wall time, is dropped from every JSON file.
 Prints each output that differs or exists in one tree only, and exits 1
 when there is one.
@@ -22,10 +22,33 @@ import tempfile
 from pathlib import Path
 
 ALPHAS = [0.0, 0.001, 0.01, 0.05, 0.075] + [round(0.1 + 0.05 * k, 2) for k in range(19)]
-# the benchmark's alpha-sweep manifest (benchmarks/run.py), writing to out/
-SWEEP = {
-    "kind": "alpha", "theta_minus": [0.55], "theta_plus": [0.7],
-    "gammas": [0.99], "alphas": ALPHAS, "grid": 801, "out_dir": "out",
+# each sweep run's manifest, writing to out/: the benchmark's alpha-sweep
+# (benchmarks/run.py), one sweep of every other kind and of the fair-coin
+# curves at 401 nodes, and a manifest that exits 2 on its even grid
+MANIFESTS = {
+    "alpha-sweep": {
+        "kind": "alpha", "theta_minus": [0.55], "theta_plus": [0.7],
+        "gammas": [0.99], "alphas": ALPHAS, "grid": 801, "out_dir": "out",
+    },
+    "curves-sweep": {
+        "kind": "curves", "theta_plus": [0.6, 0.7, 0.8], "gammas": [0.9, 0.99],
+        "grid": 401, "out_dir": "out",
+    },
+    "fair-curves-sweep": {
+        "kind": "curves", "theta_plus": [0.6, 0.7, 0.8], "gammas": [0.9, 0.99],
+        "symmetric": False, "grid": 401, "out_dir": "out",
+    },
+    "scaling-sweep": {
+        "kind": "scaling", "theta_minus": [0.5], "theta_plus": [0.7],
+        "gammas": [0.9, 0.99, 0.999], "grid": 401, "out_dir": "out",
+    },
+    "heatmap-sweep": {
+        "kind": "heatmap", "theta_minus": [0.6, 0.7], "theta_plus": [0.6, 0.7, 0.8],
+        "gammas": [0.99], "alphas": [0.5], "grid": 401, "out_dir": "out",
+    },
+    "invalid-sweep": {
+        "kind": "curves", "theta_plus": [0.7], "gammas": [0.9], "grid": 400, "out_dir": "out",
+    },
 }
 # long-horizon, fine-grid and alpha-sweep are the benchmark's workloads
 RUNS = {
@@ -37,7 +60,9 @@ RUNS = {
                       "--alpha", "0.5", "--grid", "20001", "--out", "out"],
     "compare": ["compare", "--theta-minus", "0.5", "--theta-plus", "0.7",
                 "--gamma", "0.99", "--grid", "801", "--out", "out"],
-    "alpha-sweep": ["sweep", "manifest.json"],
+    "compare-symmetric": ["compare", "--theta-minus", "0.7", "--theta-plus", "0.7",
+                          "--gamma", "0.99", "--grid", "801", "--out", "out"],
+    **{name: ["sweep", "manifest.json"] for name in MANIFESTS},
 }
 ELAPSED = re.compile(rb'^\s*"elapsed_s": [^\n]*\n', re.M)
 
@@ -50,11 +75,12 @@ def run_all(tree: Path, work: Path) -> dict:
     for name, args in RUNS.items():
         cwd = work / name
         cwd.mkdir(parents=True)
-        if args[0] == "sweep":
-            (cwd / args[1]).write_text(json.dumps(SWEEP))
+        if name in MANIFESTS:
+            (cwd / args[1]).write_text(json.dumps(MANIFESTS[name]))
         proc = subprocess.run([sys.executable, "-m", "artifact.cli", *args],
                               cwd=cwd, env=env, capture_output=True)
         outputs[f"{name}: stdout"] = proc.stdout + f"exit {proc.returncode}\n".encode()
+        outputs[f"{name}: stderr"] = proc.stderr
         for f in sorted((cwd / "out").rglob("*")):
             if f.is_file():
                 data = f.read_bytes()
