@@ -23,6 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .bandit import _check_beta
 from .errors import DegenerateTheta, InsufficientSamples
 
 __all__ = [
@@ -41,11 +42,14 @@ __all__ = [
 ]
 
 
-def _check_theta_gamma(theta, gamma):
+def _check_theta(theta):
+    """The closed forms' rule: theta strictly between 1/2 and 1."""
     if not 0.5 < theta < 1.0:
-        raise DegenerateTheta(
-            f"theta must lie strictly between 1/2 and 1, got {theta}"
-        )
+        raise DegenerateTheta(f"theta must lie strictly between 1/2 and 1, got {theta}")
+
+
+def _check_theta_gamma(theta, gamma):
+    _check_theta(theta)
     if not 0.0 < gamma < 1.0:
         raise ValueError(f"gamma must lie in (0, 1), got {gamma}")
 
@@ -107,9 +111,7 @@ def symmetric_value(theta: float, gamma: float, beta: float) -> float:
     so the certainty value theta/(1-gamma) is met exactly.
     """
     sol = symmetric_solution(theta, gamma)
-    u = abs(beta)
-    if not u <= 1.0:
-        raise ValueError(f"beta must lie in [-1, 1], got {beta}")
+    u = abs(_check_beta(beta))
     main = (1.0 + u * (2.0 * theta - 1.0)) / (2.0 * (1.0 - gamma))
     if u == 1.0:
         return main
@@ -145,10 +147,7 @@ def symmetric_regret_linear_coeff(theta: float) -> float:
     c(theta) = 3 theta (1 - theta) / (2 theta - 1)^3, positive and
     diverging as theta -> 1/2.
     """
-    if not 0.5 < theta < 1.0:
-        raise DegenerateTheta(
-            f"theta must lie strictly between 1/2 and 1, got {theta}"
-        )
+    _check_theta(theta)
     return 3.0 * theta * (1.0 - theta) / (2.0 * theta - 1.0) ** 3
 
 
@@ -170,8 +169,7 @@ def fair_coin_solution(theta_plus: float, gamma: float) -> FairCoinSolution:
 def fair_coin_value(sol: FairCoinSolution, beta: float) -> float:
     """Piecewise value: constant 1/(2(1-gamma)) at and below beta_c, the
     biased arm's corrected branch above it; continuous at beta_c."""
-    if not -1.0 <= beta <= 1.0:
-        raise ValueError(f"beta must lie in [-1, 1], got {beta}")
+    beta = _check_beta(beta)
     g = sol.gamma
     if beta <= sol.beta_c:
         return 1.0 / (2.0 * (1.0 - g))

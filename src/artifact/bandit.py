@@ -80,8 +80,7 @@ class Belief:
     beta: float
 
     def __post_init__(self):
-        if not -1.0 <= self.beta <= 1.0:
-            raise ValueError(f"beta must lie in [-1, 1], got {self.beta}")
+        object.__setattr__(self, "beta", _check_beta(self.beta))
 
     def prob(self, s: int) -> float:
         """b(s) = (1 + s*beta) / 2."""
@@ -95,8 +94,7 @@ class ActionDistribution:
     q: float
 
     def __post_init__(self):
-        if not 0.0 <= self.q <= 1.0:
-            raise ValueError(f"q must lie in [0, 1], got {self.q}")
+        object.__setattr__(self, "q", _check_q(self.q))
 
     def prob(self, a: int) -> float:
         return self.q if a == 1 else 1.0 - self.q
@@ -109,8 +107,7 @@ class Observation:
     y: int
 
     def __post_init__(self):
-        if self.y not in (0, 1):
-            raise ValueError(f"y must be 0 or 1, got {self.y}")
+        object.__setattr__(self, "y", _check_outcome(self.y))
 
     @property
     def reward(self) -> float:
@@ -131,7 +128,7 @@ def _check_outcome(y):
 
 
 def _check_beta(b):
-    """Belief values may arrive as Belief objects or bare floats."""
+    """The one scalar-belief check: a Belief's beta or a float in [-1, 1]."""
     if isinstance(b, Belief):
         return b.beta
     b = float(b)
@@ -273,7 +270,7 @@ def regret_gap(spec: BanditSpec, beta, a: int):
 
 
 def _check_q(dist):
-    """Probability of arm +1 from an ActionDistribution or a bare float."""
+    """The one scalar q check: an ActionDistribution's q or a float in [0, 1]."""
     q = dist.q if isinstance(dist, ActionDistribution) else float(dist)
     if not 0.0 <= q <= 1.0:
         raise ValueError(f"q must lie in [0, 1], got {q}")

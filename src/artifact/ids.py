@@ -38,6 +38,7 @@ from .solver import (
     DiscountedProblem,
     PolicyTable,
     ValueFunction,
+    _myopic_q,
     _stencil,
     mdp_value,
     policy_evaluation,
@@ -75,10 +76,18 @@ class IdsConfig:
     gamma: float
 
     def __post_init__(self):
-        if not 0.0 <= self.alpha <= 1.0:
-            raise ValueError(f"alpha must lie in [0, 1], got {self.alpha}")
-        if not 0.0 <= self.gamma < 1.0:
-            raise ValueError(f"gamma must lie in [0, 1), got {self.gamma}")
+        _check_alpha(self.alpha)
+        _check_gamma(self.gamma)
+
+
+def _check_alpha(alpha):
+    if not 0.0 <= alpha <= 1.0:
+        raise ValueError(f"alpha must lie in [0, 1], got {alpha}")
+
+
+def _check_gamma(gamma):
+    if not 0.0 <= gamma < 1.0:
+        raise ValueError(f"gamma must lie in [0, 1), got {gamma}")
 
 
 @dataclass(frozen=True)
@@ -96,8 +105,10 @@ def ids_endpoints(spec: BanditSpec, gamma: float, beliefs):
 
     Returns arrays (Delta_-, Delta_+, I_-, I_+) with one entry per belief;
     a mixture placing q on arm +1 has (1-q)*x_- + q*x_+ of each.
-    I_a = H(beta) - gamma * E[H(beta')] after one pull of arm a.
+    I_a = H(beta) - gamma * E[H(beta')] after one pull of arm a.  A gamma
+    outside IdsConfig's range, or NaN, raises ValueError.
     """
+    _check_gamma(gamma)
     b = np.asarray(beliefs, dtype=float)
     h = entropy(b)
     ends = {}
@@ -153,8 +164,7 @@ def ratio(d, i, alpha: float):
     without information gives inf, as does a value beyond the float range.
     An alpha outside [0, 1], or NaN, raises ValueError.
     """
-    if not 0.0 <= alpha <= 1.0:
-        raise ValueError(f"alpha must lie in [0, 1], got {alpha}")
+    _check_alpha(alpha)
     with np.errstate(over="ignore"):
         return np.exp(_scaled_log_ratio(d, i, alpha) / (alpha if alpha > 0.0 else 1.0))
 
@@ -175,13 +185,6 @@ def info_ratio(delta: float, info: float, alpha: float) -> float:
     if alpha == 1.0:
         return delta
     return float(ratio(delta, info, alpha))
-
-
-def _greedy_q(spec, b):
-    """Myopic arm per belief: +1 where its expected reward p_b(1|+1) is at
-    least that of arm -1."""
-    r = {a: posterior(spec, b, a, 1)[0] for a in (-1, 1)}
-    return np.where(r[1] >= r[-1], 1.0, 0.0)
 
 
 def _ids_q(d0, d1, i0, i1, alpha, greedy):
@@ -211,7 +214,7 @@ def _ids_q(d0, d1, i0, i1, alpha, greedy):
 
 def _ids_policy_q(spec, config, beliefs, ends):
     """IDS mixture at each belief, chosen from the arm endpoints `ends`."""
-    greedy = _greedy_q(spec, beliefs)
+    greedy = _myopic_q({a: posterior(spec, beliefs, a, 1)[0] for a in (-1, 1)})
     guard = np.maximum(ends[2], ends[3]) < DEFAULT_INFO_FLOOR
     return np.where(guard, greedy, _ids_q(*ends, config.alpha, greedy))
 
@@ -265,8 +268,7 @@ def ratio_table(prob: DiscountedProblem, policy: PolicyTable, alpha: float):
 def scaled_log_sup_ratio(prob: DiscountedProblem, policy: PolicyTable, alpha: float) -> float:
     """alpha * log sup_info_ratio, and log sup_info_ratio at alpha = 0;
     finite wherever the pointwise ratios are, at every alpha."""
-    if not 0.0 <= alpha <= 1.0:
-        raise ValueError(f"alpha must lie in [0, 1], got {alpha}")
+    _check_alpha(alpha)
     _, d, i = _policy_mixture(prob, policy)
     skip = (i < DEFAULT_INFO_FLOOR) & (d < DEFAULT_INFO_FLOOR)
     return float(np.max(np.where(skip, -np.inf, _scaled_log_ratio(d, i, alpha))))

@@ -152,6 +152,12 @@ class PolicyTable:
             return None
 
 
+def _myopic_q(r):
+    """The myopic arm per belief as a weight on arm +1, from each arm's
+    expected reward r[a] = p_b(1|a): +1 where p_b(1|+1) >= p_b(1|-1)."""
+    return np.where(r[1] >= r[-1], 1.0, 0.0)
+
+
 class _Stencil:
     """Precomputed per-(action, outcome) transition data for one problem/grid.
 
@@ -191,11 +197,11 @@ class _Stencil:
     def greedy(self, v):
         """Per-node indicator of arm +1: the arm whose q leads by more
         than 8*eps/(1-gamma), above the rounding of a backup
-        (default_tolerance), and elsewhere the myopic arm, the larger
-        immediate reward and then +1, which every node takes at v = 0."""
+        (default_tolerance), and elsewhere the myopic arm of _myopic_q,
+        which every node takes at v = 0."""
         q = self.q_values(v)
         clear = np.abs(q[1] - q[-1]) > 8.0 * np.finfo(float).eps / (1.0 - self.prob.gamma)
-        return np.where(clear, q[1] > q[-1], self.r[1] >= self.r[-1]).astype(float)
+        return np.where(clear, q[1] > q[-1], _myopic_q(self.r))
 
     def policy_reward(self, qdist):
         return (1.0 - qdist) * self.r[-1] + qdist * self.r[1]
@@ -501,17 +507,19 @@ def _resolve_costs(cost, grid):
     return c
 
 
+def _check_certificate(cert, tol, subject, context="", iterations=None):
+    """Raise IterationLimit when the certified error of `subject` exceeds tol."""
+    if cert > tol:
+        msg = f"{context}certified error {cert:.3g} of {subject} exceeds tol={tol:g}"
+        raise IterationLimit(msg, iterations=iterations, residual=cert)
+
+
 def _certified_solve(st, qdist, per_node, tol, what, x0=None):
     """Solve v = per_node + gamma * M_pi v by _solve_policy and raise
     IterationLimit when its certificate misses tol."""
     tol = _resolve_tol(st.prob.gamma, tol)
     v, cert, iterations, how = _solve_policy(st, qdist, per_node, tol, x0)
-    if cert > tol:
-        raise IterationLimit(
-            f"{what}: certified error {cert:.3g} of the {how} solve exceeds tol={tol:g}",
-            iterations=iterations,
-            residual=cert,
-        )
+    _check_certificate(cert, tol, f"the {how} solve", f"{what}: ", iterations)
     return ValueFunction(st.grid, v)
 
 
@@ -624,11 +632,7 @@ def certify_optimal(
     tol = _resolve_tol(prob.gamma, tol)
     st = _stencil(prob, v.grid)
     bound = float(np.max(np.abs(st.backup(v.values) - v.values))) / (1.0 - prob.gamma)
-    if bound > tol:
-        raise IterationLimit(
-            f"certified error {bound:.3g} of the optimal value exceeds tol={tol:g}",
-            residual=bound,
-        )
+    _check_certificate(bound, tol, "the optimal value")
     return bound
 
 
@@ -650,11 +654,8 @@ def mdp_value(prob: DiscountedProblem, beta):
     """
     best_m = max(win_prob(prob.spec, -1, -1), win_prob(prob.spec, -1, 1))
     best_p = max(win_prob(prob.spec, 1, -1), win_prob(prob.spec, 1, 1))
-    b = np.asarray(beta, dtype=float)
-    out = ((1.0 - b) / 2.0 * best_m + (1.0 + b) / 2.0 * best_p) / (1.0 - prob.gamma)
-    if np.ndim(beta) == 0:
-        return float(out)
-    return out
+    b = _check_beta(beta) if np.ndim(beta) == 0 else np.asarray(beta, dtype=float)
+    return ((1.0 - b) / 2.0 * best_m + (1.0 + b) / 2.0 * best_p) / (1.0 - prob.gamma)
 
 
 def regret_curve(prob: DiscountedProblem, v: ValueFunction) -> ValueFunction:

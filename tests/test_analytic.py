@@ -20,7 +20,7 @@ from artifact.analytic import (
     symmetric_value,
     zeta_exponents,
 )
-from artifact.bandit import BanditSpec
+from artifact.bandit import BanditSpec, Belief
 from artifact.errors import DegenerateTheta, InsufficientSamples
 from artifact.solver import (
     BeliefGrid,
@@ -87,6 +87,12 @@ class TestSymmetricValue:
                 symmetric_value(0.7, 0.9, beta)
             with pytest.raises(ValueError):
                 fair_coin_value(sol, beta)
+
+    def test_belief_gives_the_value_of_its_float(self):
+        sol = fair_coin_solution(0.7, 0.99)
+        for beta in (-1.0, -0.9, -0.2, 0.0, 0.45, 1.0):
+            assert symmetric_value(0.7, 0.9, Belief(beta)) == symmetric_value(0.7, 0.9, beta)
+            assert fair_coin_value(sol, Belief(beta)) == fair_coin_value(sol, beta)
 
     def test_certainty_boundary_condition(self):
         for theta, gamma in [(0.55, 0.9), (0.7, 0.99), (0.9, 0.5)]:

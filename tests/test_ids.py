@@ -123,6 +123,19 @@ class TestInformationFunction:
             with pytest.raises(ValueError, match="q must lie in"):
                 information_function(spec, 0.0, q, 0.9)
 
+    def test_rejects_discount_outside_the_config_rule(self):
+        # one rule: the same message as IdsConfig's for each discount
+        spec = BanditSpec(0.55, 0.7)
+        for gamma in (2.0, -1.0, 1.0, math.nan):
+            with pytest.raises(ValueError, match="gamma must lie in") as want:
+                IdsConfig(alpha=0.5, gamma=gamma)
+            with pytest.raises(ValueError) as got:
+                ids_endpoints(spec, gamma, [-0.5, 0.0, 0.5])
+            assert str(got.value) == str(want.value)
+            with pytest.raises(ValueError) as got:
+                information_function(spec, 0.3, 0.5, gamma)
+            assert str(got.value) == str(want.value)
+
 
 class TestInfoRatio:
     def test_half_exponent_example(self):

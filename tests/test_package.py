@@ -4,6 +4,7 @@ public names, and `artifact` re-exports all of them."""
 from __future__ import annotations
 
 import inspect
+from pathlib import Path
 
 import artifact
 from artifact import analytic, bandit, errors, experiments, ids, solver
@@ -32,3 +33,17 @@ def test_errors_lists_every_exception_class():
         and obj.__module__ == errors.__name__
     }
     assert set(errors.__all__) == defined
+
+
+def test_each_library_rule_is_stated_once():
+    # the belief, mixture-weight, alpha and theta rules and the certificate
+    # check each have one owner; a restatement would be free to drift
+    source = "".join(p.read_text() for p in Path(artifact.__file__).parent.glob("*.py"))
+    for text in (
+        "beta must lie in [-1, 1]",
+        "q must lie in [0, 1]",
+        "alpha must lie in [0, 1]",
+        "theta must lie strictly between 1/2 and 1",
+        "exceeds tol=",
+    ):
+        assert source.count(text) == 1, text

@@ -12,7 +12,7 @@ import scipy.sparse.linalg as spla
 
 from artifact import solver
 from artifact.analytic import symmetric_value
-from artifact.bandit import BanditSpec, entropy, expected_reward, one_step_regret
+from artifact.bandit import BanditSpec, Belief, entropy, expected_reward, one_step_regret
 from artifact.errors import IterationLimit, MultipleBoundaries, NoBoundary
 from artifact.ids import IdsConfig, ids_policy_on_grid
 from artifact.solver import (
@@ -375,6 +375,14 @@ class TestMdpReferenceAndRegret:
     def test_known_values(self):
         assert mdp_value(DiscountedProblem(BanditSpec(0.5, 0.7), 0.99), 1.0) == pytest.approx(70.0)
         assert mdp_value(DiscountedProblem(BanditSpec(0.55, 0.7), 0.9), -1.0) == pytest.approx(5.5)
+
+    def test_scalar_belief_is_checked(self):
+        # a scalar goes through the one belief check, as in regret_gap
+        prob = DiscountedProblem(BanditSpec(0.55, 0.7), 0.9)
+        for beta in (2.0, -1.5, math.nan):
+            with pytest.raises(ValueError, match="beta must lie in"):
+                mdp_value(prob, beta)
+        assert mdp_value(prob, Belief(0.3)) == mdp_value(prob, 0.3)
 
     def test_symmetric_reference_is_flat(self):
         prob = DiscountedProblem(BanditSpec(0.7, 0.7), 0.9)

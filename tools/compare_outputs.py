@@ -63,6 +63,15 @@ RUNS = {
     "compare-symmetric": ["compare", "--theta-minus", "0.7", "--theta-plus", "0.7",
                           "--gamma", "0.99", "--grid", "801", "--out", "out"],
     **{name: ["sweep", "manifest.json"] for name in MANIFESTS},
+    # error paths, whose stderr carries the library's messages: the optimal
+    # value's and the policy evaluation's certificates miss tol (exit 3),
+    # and an alpha outside [0, 1] is refused (exit 2)
+    "solve-uncertified": ["solve", "--theta-minus", "0.7", "--theta-plus", "0.7",
+                          "--gamma", "0.99", "--tol", "1e-14", "--out", "out"],
+    "ids-uncertified": ["ids", "--theta-minus", "0.55", "--theta-plus", "0.7", "--gamma", "0.99",
+                        "--alpha", "0.5", "--tol", "1e-30", "--out", "out"],
+    "ids-invalid-alpha": ["ids", "--theta-minus", "0.55", "--theta-plus", "0.7",
+                          "--gamma", "0.99", "--alpha", "1.5", "--out", "out"],
 }
 ELAPSED = re.compile(rb'^\s*"elapsed_s": [^\n]*\n', re.M)
 
