@@ -8,8 +8,10 @@ path, `_sweep`: a row is its key followed by what the kind's cell
 returns, rows are independent jobs that a process pool may run
 concurrently, and the pipeline contains no randomness, so identical
 manifests produce byte-identical CSV files whatever the worker count.
-A row whose cell raises a solver error is recorded as a failure rather
-than aborting the sweep.
+Each worker runs its rows in chunks, and a chunk solves its rows' IDS
+policy evaluations as one lockstep BiCGSTAB solve, which leaves every
+row's iterates as a solve of its own would.  A row whose cell raises a
+solver error is recorded as a failure rather than aborting the sweep.
 """
 
 from __future__ import annotations
@@ -31,10 +33,11 @@ from .ids import IdsConfig, ids_policy_on_grid
 from .solver import (
     BeliefGrid,
     DiscountedProblem,
+    _certified_solves,
+    _policy_equation,
     _resolve_tol,
     certify_optimal,
     mdp_value,
-    policy_evaluation,
     policy_iteration,
     regret_curve,
 )
@@ -60,6 +63,12 @@ _COLUMNS = {
 }
 
 _KINDS = tuple(_COLUMNS)
+
+# a chunk stacks at most this many grid nodes in its lockstep solve: 8
+# rows at N 801, one from N 3,251 up.  At N 801 a stencil product costs
+# about 14 us, mostly numpy's per-call overhead, which a chunk pays once
+# for all its rows; 6 to 12 rows at N 801 measured alike.
+_CHUNK_NODES = 6500
 
 
 @dataclass(frozen=True)
@@ -248,16 +257,20 @@ def _curve_cell(theta, gamma, symmetric, n, tol):
 
 
 def _ids_values(prob, alpha, n, tol):
-    """The optimal value on n nodes, and IDS(alpha)'s warm-started from it."""
+    """The optimal value on n nodes, and IDS(alpha)'s warm-started from
+    it.  A generator: it yields the arguments (prob, policy, x0) of the
+    IDS policy evaluation and receives its value, so that a chunk solves
+    the evaluations of all its rows at once (_run_chunk)."""
     vopt = _optimal_solve(prob, BeliefGrid(n), tol)
     policy = ids_policy_on_grid(prob, vopt.grid, IdsConfig(alpha=alpha, gamma=prob.gamma))
-    return vopt, policy_evaluation(prob, policy, x0=vopt)
+    vids = yield prob, policy, vopt
+    return vopt, vids
 
 
 def _scaling_cell(spec, gamma, beta0, n, tol):
     """Optimal and IDS(0) regret at beta0."""
     prob = DiscountedProblem(spec, gamma)
-    vopt, vids = _ids_values(prob, 0.0, n, tol)
+    vopt, vids = yield from _ids_values(prob, 0.0, n, tol)
     v_mdp = mdp_value(prob, beta0)
     return float(v_mdp - vopt(beta0)), float(v_mdp - vids(beta0))
 
@@ -266,7 +279,7 @@ def _gap_cell(tm, tp, gamma, alpha, n, tol):
     """Max relative excess of the IDS(alpha) regret over the optimal
     regret, taken over beliefs whose optimal regret clears the floor."""
     prob = DiscountedProblem(BanditSpec(tm, tp), gamma)
-    vopt, vids = _ids_values(prob, alpha, n, tol)
+    vopt, vids = yield from _ids_values(prob, alpha, n, tol)
     r_opt = regret_curve(prob, vopt).values
     r_ids = regret_curve(prob, vids).values
     mask = r_opt > max(1e-6, 1e-4 * float(np.max(r_opt)))
@@ -275,14 +288,44 @@ def _gap_cell(tm, tp, gamma, alpha, n, tol):
     return (float(np.max((r_ids[mask] - r_opt[mask]) / r_opt[mask])),)
 
 
-def _guarded(job):
-    """One row: its key followed by what its cell returns, or a failure
-    record of the key when the cell raises a BanditError."""
-    cell, key, args = job
-    try:
-        return key + cell(*args)
-    except BanditError as exc:
-        return {"row": list(key), "error": repr(exc)}
+def _failure(key, exc):
+    return {"row": list(key), "error": repr(exc)}
+
+
+def _run_chunk(jobs):
+    """The rows of a chunk of (cell, key, args) jobs, in job order: a row
+    is its key followed by what its cell returns, or a failure record of
+    the key when the cell raises a BanditError.
+
+    A cell returns its values, or is a generator (_ids_values) that
+    yields one policy evaluation and returns its values once it is sent
+    the value.  The chunk first runs every cell up to its evaluation, then
+    solves the evaluations in lockstep (solver._certified_solves), then
+    sends each value, or throws in the IterationLimit that
+    policy_evaluation would have raised."""
+    rows, waiting, equations = [], [], []
+    for cell, key, args in jobs:
+        try:
+            out = cell(*args)
+            if isinstance(out, tuple):
+                rows.append(key + out)
+                continue
+            equations.append(_policy_equation(*next(out)))
+            waiting.append((len(rows), key, out))
+            rows.append(None)
+        except BanditError as exc:
+            rows.append(_failure(key, exc))
+    values = _certified_solves(equations, None, "policy evaluation") if equations else []
+    for (i, key, gen), value in zip(waiting, values):
+        try:
+            if isinstance(value, BanditError):
+                gen.throw(value)
+            gen.send(value)
+        except StopIteration as stop:
+            rows[i] = key + stop.value
+        except BanditError as exc:
+            rows[i] = _failure(key, exc)
+    return rows
 
 
 def _run_jobs(jobs, worker, n_workers):
@@ -296,14 +339,23 @@ def _run_jobs(jobs, worker, n_workers):
         return list(pool.map(worker, jobs, chunksize=1))
 
 
-def _sweep(kind, cell, jobs, n_workers, **meta):
-    """Run the (key, args) jobs of one sweep kind through `cell`, keep the
-    rows sorted and the failures in job order, and time them."""
+def _sweep(kind, cell, jobs, n_workers, n, **meta):
+    """Run the (key, args) jobs of one sweep kind on n nodes through
+    `cell`, keep the rows sorted and the failures in job order, and time
+    them.  The jobs run in chunks (_run_chunk) of as many rows as fit in
+    _CHUNK_NODES stacked nodes, at least one and at most a worker's
+    share, so that every worker has a chunk."""
     result = SweepResult(kind, _COLUMNS[kind])
     t0 = time.perf_counter()
-    tagged = [(cell, key, args) for key, args in jobs]
-    for out in _run_jobs(tagged, _guarded, resolve_workers(n_workers)):
-        (result.failures if isinstance(out, dict) else result.rows).append(out)
+    workers = resolve_workers(n_workers)
+    size = max(1, min(_CHUNK_NODES // n, -(-len(jobs) // workers)))
+    chunks = [
+        [(cell, key, args) for key, args in jobs[i:i + size]]
+        for i in range(0, len(jobs), size)
+    ]
+    for rows in _run_jobs(chunks, _run_chunk, workers):
+        for out in rows:
+            (result.failures if isinstance(out, dict) else result.rows).append(out)
     result.rows.sort()
     result.meta["elapsed_s"] = round(time.perf_counter() - t0, 3)
     result.meta.update(meta)
@@ -324,7 +376,7 @@ def max_regret_vs_theta(
         for th in map(float, theta_grid)
         for g in map(float, gammas)
     ]
-    return _sweep("curves", _curve_cell, jobs, n_workers, symmetric=bool(symmetric))
+    return _sweep("curves", _curve_cell, jobs, n_workers, int(grid), symmetric=bool(symmetric))
 
 
 def regret_scaling_gamma(
@@ -334,7 +386,7 @@ def regret_scaling_gamma(
     logarithmic fits of both columns when the rows that survive hold at
     least three distinct gammas."""
     jobs = [((1.0 - g,), (spec, g, beta0, int(grid), tol)) for g in map(float, gammas)]
-    result = _sweep("scaling", _scaling_cell, jobs, n_workers)
+    result = _sweep("scaling", _scaling_cell, jobs, n_workers, int(grid))
     if len({row[0] for row in result.rows}) >= 3:
         for label, col in (("fit_opt", 1), ("fit_ids0", 2)):
             fit = fit_log_regret_expansion(
@@ -358,7 +410,7 @@ def delta_R_heatmap(
         for tm in map(float, theta_minus_grid)
         for tp in map(float, theta_plus_grid)
     ]
-    return _sweep("heatmap", _gap_cell, jobs, n_workers, gamma=gamma, alpha=alpha)
+    return _sweep("heatmap", _gap_cell, jobs, n_workers, int(grid), gamma=gamma, alpha=alpha)
 
 
 def optimal_alpha_search(
@@ -373,7 +425,7 @@ def optimal_alpha_search(
     """
     tm, tp, gamma = float(theta_minus), float(theta_plus), float(gamma)
     jobs = [((a,), (tm, tp, gamma, a, int(grid), tol)) for a in map(float, alpha_grid)]
-    result = _sweep("alpha", _gap_cell, jobs, n_workers)
+    result = _sweep("alpha", _gap_cell, jobs, n_workers, int(grid))
     if result.rows:
         best = min(result.rows, key=lambda r: (r[1], r[0]))
         result.meta["alpha_star"] = best[0]

@@ -93,10 +93,10 @@ def read_value_csv(path) -> ValueFunction:
                 raise ValueError(f"line {r.line_num} of {path} is not two numbers") from None
             betas.append(beta)
             values.append(value)
-    n = len(betas)
-    if n < 3 or n % 2 == 0:
-        raise ValueError(f"{path} holds {n} rows, not an odd number of at least 3")
-    grid = BeliefGrid(n)
+    try:
+        grid = BeliefGrid(len(betas))
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     if not np.allclose(grid.nodes, betas, atol=1e-9):
         raise ValueError(f"{path} does not hold a uniform odd grid on [-1, 1]")
     return ValueFunction(grid, np.array(values))

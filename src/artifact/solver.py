@@ -16,10 +16,13 @@ stencil product over a stencil built once for the last (problem, grid)
 and shared by every call on it.  The product reads only the arm each
 node plays: four entries at a pure node, eight at a mixed one, added in
 the order of the full stencil, so it equals the eight-entry product bit
-for bit.  BiCGSTAB starts exact on the linear functions of
-beta, the two slowest modes of every policy system.  scipy.sparse is
-imported only where a sparse matrix is assembled, for an LU fallback or
-by policy_transition, so a run whose solves all converge under BiCGSTAB
+for bit.  One BiCGSTAB kernel solves a stack of policy systems of one
+grid size in lockstep, each row with its own scalars, so a row's
+iterates do not depend on the rows beside it; a single solve is a stack
+of one.  BiCGSTAB starts exact on the linear functions of beta, the two
+slowest modes of every policy system.  scipy.sparse is imported only
+where a sparse matrix is assembled, for an LU fallback or by
+policy_transition, so a run whose solves all converge under BiCGSTAB
 never loads scipy.
 """
 
@@ -124,6 +127,10 @@ class ValueFunction:
         object.__setattr__(self, "values", v)
 
     def __call__(self, beta):
+        """The interpolated value at a scalar belief, checked by
+        _check_beta, or at each entry of an array, unchecked."""
+        if np.ndim(beta) == 0:
+            beta = _check_beta(beta)
         return self.grid.interp(self.values, beta)
 
 
@@ -232,7 +239,7 @@ class _Stencil:
             cols += [jj, jj + 1]
             extra_cols += [jm, jm + 1]
         return _PolicySystem(np.stack(cols), np.stack(data), mixed, np.stack(extra_cols),
-                             np.stack(extra), self.prob.gamma)
+                             np.stack(extra), [self.prob.gamma])
 
 
 @lru_cache(maxsize=1)
@@ -248,16 +255,51 @@ def _stencil(prob, grid):
 
 
 class _PolicySystem:
-    """I - gamma*M for one policy, held as the stencil entries of the
-    arms it plays: row i of M has weight data[k, i] in column cols[k, i]
-    (k < 4, the leading arm), and mixed row rows[m] adds extra_data[k, m]
-    in column extra_cols[k, m] (arm +1).  Products need numpy alone;
-    scipy is imported only to assemble M as a sparse matrix."""
+    """I - gamma*M for a stack of k policies on one grid of n nodes, held
+    as the stencil entries of the arms each plays.  Node u = i*n + j is
+    node j of system i, so the stack acts on the k*n entries of a (k, n)
+    array: node u of M has weight data[c, u] in column cols[c, u] (c < 4,
+    the leading arm), and mixed node rows[m] adds extra_data[c, m] in
+    column extra_cols[c, m] (arm +1); gammas holds each system's gamma.
+    Every entry stays in its own system, so each row of a stacked product
+    equals that system's own product bit for bit, and a single system is
+    a stack of one.  Products need numpy alone; scipy is imported only to
+    assemble M as a sparse matrix."""
 
-    def __init__(self, cols, data, rows, extra_cols, extra_data, gamma):
+    def __init__(self, cols, data, rows, extra_cols, extra_data, gammas):
         self.cols, self.data = cols, data
         self.rows, self.extra_cols, self.extra_data = rows, extra_cols, extra_data
-        self.gamma = gamma
+        self.gammas, self.n = gammas, cols.shape[1] // len(gammas)
+        self.gamma = _column(gammas)
+
+    @classmethod
+    def stack(cls, parts):
+        """The stack of the single systems `parts`, in that order."""
+        if len(parts) == 1:
+            return parts[0]
+        n = parts[0].n
+        shift = np.arange(0, n * len(parts), n)
+        mixed_shift = np.repeat(shift, [len(p.rows) for p in parts])
+        cols = np.concatenate([p.cols for p in parts], axis=1)
+        cols += np.repeat(shift, n)
+        extra_cols = np.concatenate([p.extra_cols for p in parts], axis=1)
+        extra_cols += mixed_shift
+        return cls(cols, np.concatenate([p.data for p in parts], axis=1),
+                   np.concatenate([p.rows for p in parts]) + mixed_shift, extra_cols,
+                   np.concatenate([p.extra_data for p in parts], axis=1),
+                   [g for p in parts for g in p.gammas])
+
+    def __getitem__(self, keep):
+        """The stack of the systems numbered in `keep`, in that order."""
+        n = self.n
+        bounds = np.searchsorted(self.rows, np.arange(len(self.gammas) + 1) * n)
+        return _PolicySystem.stack([
+            _PolicySystem(self.cols[:, i * n:(i + 1) * n] - i * n, self.data[:, i * n:(i + 1) * n],
+                          self.rows[bounds[i]:bounds[i + 1]] - i * n,
+                          self.extra_cols[:, bounds[i]:bounds[i + 1]] - i * n,
+                          self.extra_data[:, bounds[i]:bounds[i + 1]], [self.gammas[i]])
+            for i in keep
+        ])
 
     def __matmul__(self, v):
         # a reduction over axis 0 adds the four leading terms in order;
@@ -272,6 +314,7 @@ class _PolicySystem:
             for term in extra:
                 part += term
             mv[self.rows] = part
+        mv = mv.reshape(v.shape)
         mv *= self.gamma
         return v - mv
 
@@ -288,7 +331,7 @@ class _PolicySystem:
         return sp.csr_matrix((data, (rows, cols)), shape=(n, n))
 
     def lu_solve(self, b):
-        """Direct solve by sparse LU."""
+        """Direct solve of a stack of one by sparse LU."""
         import scipy.sparse as sp
         import scipy.sparse.linalg as spla
 
@@ -332,74 +375,144 @@ _KRYLOV_RTOL = 1e-13
 _KRYLOV_MAXITER = 200
 
 
-def _bicgstab(A, b, x0=None, *, rtol, maxiter):
-    """Unpreconditioned BiCGSTAB for A x = b, step for step as
-    scipy.sparse.linalg.bicgstab runs it with atol=0 (van der Vorst 1992);
-    A needs only `A @ x`.
+def _column(values):
+    """Per-row scalars as a (k, 1) column that scales the rows of a
+    stack; for a stack of one, the float itself, which numpy applies
+    faster and alike."""
+    return values[0] if len(values) == 1 else np.array(values)[:, None]
 
-    Stops when ||b - A x||_2 < rtol*||b||_2.  Returns (x, info,
-    iterations): info is 0 on convergence, maxiter when the iterations
-    ran out, and -10 or -11 on a rho or omega breakdown; iterations
-    counts the completed iterations, not a last half step.
+
+def _dots(a, b):
+    """The dot product of each row of a with the same row of b:
+    np.vecdot, which equals np.dot bit for bit, or for a stack of one
+    ndarray.dot, which costs about 0.3 us less a call."""
+    if len(a) == 1:
+        return [a[0].dot(b[0])]
+    return np.vecdot(a, b).tolist()
+
+
+def _bicgstab(A, b, x0=None, *, rtol, maxiter):
+    """Unpreconditioned BiCGSTAB for a stack of systems A x = b, row i of
+    b and x belonging to system i.  Every row runs step for step as
+    scipy.sparse.linalg.bicgstab runs it with atol=0 (van der Vorst
+    1992), with its own rho, alpha and omega, and its dots (_dots) equal
+    np.dot's bit for bit, so a row's iterates do not depend on the rows
+    beside it.  A row retires when it converges, takes its half
+    step or breaks down, and the others go on with the stack of their
+    own systems.  A needs only `A @ x` on a (k, n) stack and `A[rows]`,
+    the stack of the systems numbered in rows.
+
+    Row i stops when ||b_i - A_i x_i||_2 < rtol*||b_i||_2.  Returns (x,
+    info, iterations), one entry per row: info is 0 on convergence,
+    maxiter when the iterations ran out, and -10 or -11 on a rho or omega
+    breakdown; iterations counts the completed iterations, not a last
+    half step.
     """
-    bnrm2 = math.sqrt(b.dot(b))
-    if bnrm2 == 0.0:
-        return np.zeros_like(b), 0, 0
-    atol = rtol * bnrm2
+    out = np.zeros_like(b) if x0 is None else np.array(x0, dtype=float)
+    info, iterations = np.full(len(b), maxiter), np.full(len(b), maxiter)
+    bnrm2 = np.sqrt(_dots(b, b))
+    zero = bnrm2 == 0.0
+    out[zero], info[zero], iterations[zero] = 0.0, 0, 0
+    live = np.flatnonzero(~zero)
+    if not len(live):
+        return out, info, iterations
+    # x is the iterate of the running rows: `out` itself until a row
+    # retires beside others, a compacted copy after that
+    x = out
+    if zero.any():
+        A, b, x = A[live], b[live], out[live]
+    # per-row scalars are lists of floats, which cost less than arrays of
+    # a few entries and round alike; they scale the rows as _column
+    atol = (rtol * bnrm2[live]).tolist()
     # eps**2 for both breakdown tests, as in scipy and its Fortran source
     breakdown = np.finfo(float).eps ** 2
-    x = np.zeros_like(b) if x0 is None else np.array(x0, dtype=float)
     r = b - A @ x if x.any() else b.copy()
     rtilde = r.copy()
-    rho_prev = omega = alpha = p = v = None
+    p = v = None
+    # no omega can break a row down in its first iteration
+    rho_prev = alpha = omega = [1.0] * len(live)
+
+    def retire(codes, k, vectors, scalars):
+        """Write each row with a code to the result, its info that code,
+        and return the systems, indices, vectors and scalars of the
+        others."""
+        done = np.array([c is not None for c in codes])
+        if x is not out:
+            out[live[done]] = x[done]
+        info[live[done]] = [c for c in codes if c is not None]
+        iterations[live[done]] = k
+        keep = np.flatnonzero(~done)
+        if not len(keep):
+            return None, keep, vectors, scalars
+        return (A[keep], live[keep], [None if a is None else a[keep] for a in vectors],
+                [[a[i] for i in keep] for a in scalars])
+
     for k in range(maxiter):
-        if math.sqrt(r.dot(r)) < atol:
-            return x, 0, k
-        rho = np.dot(rtilde, r)
-        if abs(rho) < breakdown:
-            return x, -10, k
+        rho = _dots(rtilde, r)
+        codes = [0 if math.sqrt(e) < a else -10 if abs(h) < breakdown
+                 else -11 if abs(w) < breakdown else None
+                 for e, a, h, w in zip(_dots(r, r), atol, rho, omega)]
+        if codes.count(None) < len(codes):
+            A, live, (x, r, rtilde, p, v), (atol, rho, rho_prev, alpha, omega) = retire(
+                codes, k, (x, r, rtilde, p, v), (atol, rho, rho_prev, alpha, omega))
+            if not len(live):
+                break
         if k > 0:
-            if abs(omega) < breakdown:
-                return x, -11, k
-            beta = (rho / rho_prev) * (alpha / omega)
-            p -= omega * v
-            p *= beta
+            beta = [(h / hp) * (a / w) for h, hp, a, w in zip(rho, rho_prev, alpha, omega)]
+            p -= _column(omega) * v
+            p *= _column(beta)
             p += r
         else:
             p = r.copy()
         v = A @ p
-        rv = np.dot(rtilde, v)
-        if rv == 0:
-            return x, -11, k
-        alpha = rho / rv
-        r -= alpha * v
-        if math.sqrt(r.dot(r)) < atol:
-            x += alpha * p
-            return x, 0, k
+        rv = _dots(rtilde, v)
+        # a zero rv breaks its row down before anything divides by it
+        alpha = [h / d if d else 0.0 for h, d in zip(rho, rv)]
+        alpha_col = _column(alpha)
+        r -= alpha_col * v
+        codes = [-11 if not d else 0 if math.sqrt(e) < a else None
+                 for d, e, a in zip(rv, _dots(r, r), atol)]
+        if codes.count(None) < len(codes):
+            for i, c in enumerate(codes):
+                if c == 0:
+                    x[i] += alpha[i] * p[i]
+            A, live, (x, r, rtilde, p, v), (atol, rho, alpha) = retire(
+                codes, k, (x, r, rtilde, p, v), (atol, rho, alpha))
+            if not len(live):
+                break
+            alpha_col = _column(alpha)
         # r is scipy's s here: the residual after the half step
         t = A @ r
-        omega = np.dot(t, r) / np.dot(t, t)
-        x += alpha * p
-        x += omega * r
-        r -= omega * t
+        # t = 0 makes 0/0, NaN as numpy makes it
+        omega = [a / b if b else math.nan for a, b in zip(_dots(t, r), _dots(t, t))]
+        omega_col = _column(omega)
+        x += alpha_col * p
+        x += omega_col * r
+        r -= omega_col * t
         rho_prev = rho
-    return x, maxiter, maxiter
+    else:
+        if x is not out:
+            out[live] = x
+    return out, info, iterations
 
 
 def _linear_part(f, nodes):
-    """The linear function of beta through f[0] at -1 and f[-1] at +1."""
-    return f[0] * (1.0 - nodes) / 2.0 + f[-1] * (1.0 + nodes) / 2.0
+    """The linear function of beta through f[..., 0] at -1 and f[..., -1]
+    at +1, per row of a stack."""
+    return f[..., :1] * (1.0 - nodes) / 2.0 + f[..., -1:] * (1.0 + nodes) / 2.0
 
 
-def _solve_policy(st, q, per_node, tol, x0=None, krylov=True):
-    """Solve the policy equation (I - gamma*M_q) v = per_node.
+def _solve_policy(equations, tol, krylov=True):
+    """Solve the policy equations (I - gamma*M_q) v = per_node of a list
+    of (stencil, q, per_node, x0) of one grid size in lockstep, against
+    tol, one bound per equation.
 
-    Returns (v, certificate, iterations, method); the certificate
-    ||per_node - A v|| / (1-gamma) bounds ||v - v_q|| (Puterman 1994,
-    ch. 6).  A BiCGSTAB iterate (krylov=False skips it) is kept only when
-    it converged and its certificate meets min(tol,
-    default_tolerance(gamma)); otherwise LU solves the system, counted as
-    one iteration.
+    Returns, per equation, (v, certificate, iterations, method); the
+    certificate ||per_node - A v|| / (1-gamma) bounds ||v - v_q||
+    (Puterman 1994, ch. 6).  A BiCGSTAB iterate (krylov=False skips it)
+    is kept only when it converged and its certificate meets min(tol,
+    default_tolerance(gamma)); otherwise LU solves that system alone,
+    counted as one iteration.
 
     BiCGSTAB starts exact on the two slowest modes.  Linear functions of
     beta are eigenvectors of A with eigenvalue 1 - gamma: rows of M sum
@@ -410,27 +523,34 @@ def _solve_policy(st, q, per_node, tol, x0=None, krylov=True):
     given, leaves a residual in that complement, which deflates both
     modes (Saad, Iterative Methods for Sparse Linear Systems, 2003).
     """
-    A = st.policy_system(q)
-    gamma = st.prob.gamma
-
-    def certificate(v):
-        return float(np.max(np.abs(per_node - A @ v))) / (1.0 - gamma)
-
-    method = "LU"
+    A = _PolicySystem.stack([st.policy_system(q) for st, q, _, _ in equations])
+    gamma = np.array(A.gammas)
+    # a stack of one is a view, so a single solve copies nothing
+    b = np.stack([per_node for _, _, per_node, _ in equations]) if len(equations) > 1 \
+        else equations[0][2][None]
+    missed = np.ones(len(b), dtype=bool)
     if krylov:
-        nodes = st.grid.nodes
-        start = _linear_part(per_node, nodes) / (1.0 - gamma)
-        if x0 is not None:
-            start += x0 - _linear_part(x0, nodes)
-        v, info, iterations = _bicgstab(A, per_node, x0=start, rtol=_KRYLOV_RTOL,
+        nodes = equations[0][0].grid.nodes
+        start = _linear_part(b, nodes) / (1.0 - gamma)[:, None]
+        for i, (_, _, _, x0) in enumerate(equations):
+            if x0 is not None:
+                start[i] += x0 - _linear_part(x0, nodes)
+        v, info, iterations = _bicgstab(A, b, x0=start, rtol=_KRYLOV_RTOL,
                                         maxiter=_KRYLOV_MAXITER)
-        if info == 0:
-            cert = certificate(v)
-            if cert <= min(tol, default_tolerance(gamma)):
-                return v, cert, iterations, "BiCGSTAB"
-        method = "LU after BiCGSTAB"
-    v = A.lu_solve(per_node)
-    return v, certificate(v), 1, method
+        cert = np.max(np.abs(b - A @ v), axis=1) / (1.0 - gamma)
+        bound = np.minimum(tol, [default_tolerance(g) for g in gamma])
+        missed = (info != 0) | ~(cert <= bound)
+    solved = []
+    for i in range(len(b)):
+        if not missed[i]:
+            solved.append((v[i], float(cert[i]), int(iterations[i]), "BiCGSTAB"))
+            continue
+        # a missed row is solved and certified on its own system
+        Ai = A[[i]]
+        vi = Ai.lu_solve(b[i])
+        ci = float(np.max(np.abs(b[i] - Ai @ vi))) / (1.0 - gamma[i])
+        solved.append((vi, ci, 1, "LU after BiCGSTAB" if krylov else "LU"))
+    return solved
 
 
 def bellman_backup(v: ValueFunction, prob: DiscountedProblem) -> ValueFunction:
@@ -514,13 +634,40 @@ def _check_certificate(cert, tol, subject, context="", iterations=None):
         raise IterationLimit(msg, iterations=iterations, residual=cert)
 
 
-def _certified_solve(st, qdist, per_node, tol, what, x0=None):
-    """Solve v = per_node + gamma * M_pi v by _solve_policy and raise
-    IterationLimit when its certificate misses tol."""
-    tol = _resolve_tol(st.prob.gamma, tol)
-    v, cert, iterations, how = _solve_policy(st, qdist, per_node, tol, x0)
-    _check_certificate(cert, tol, f"the {how} solve", f"{what}: ", iterations)
-    return ValueFunction(st.grid, v)
+def _policy_equation(prob, policy, x0=None):
+    """The equation policy_evaluation solves for `policy`, warm-started
+    from the value x0 on its grid, as _solve_policy takes it."""
+    if x0 is not None and x0.grid != policy.grid:
+        raise ValueError("x0 must lie on the policy's grid")
+    st = _stencil(prob, policy.grid)
+    return st, policy.q, st.policy_reward(policy.q), None if x0 is None else x0.values
+
+
+def _certified_solves(equations, tol, what):
+    """Solve v = per_node + gamma * M_pi v for each (stencil, q, per_node,
+    x0) equation of one grid size, in lockstep by _solve_policy, and
+    certify each against tol: per equation its ValueFunction, or the
+    IterationLimit it raises when its certificate misses tol."""
+    tols = [_resolve_tol(st.prob.gamma, tol) for st, _, _, _ in equations]
+    values = []
+    for (st, _, _, _), t, (v, cert, iterations, how) in zip(
+        equations, tols, _solve_policy(equations, tols)
+    ):
+        try:
+            _check_certificate(cert, t, f"the {how} solve", f"{what}: ", iterations)
+            values.append(ValueFunction(st.grid, v))
+        except IterationLimit as exc:
+            values.append(exc)
+    return values
+
+
+def _certified_solve(equation, tol, what):
+    """The value of one equation by _certified_solves; raises its
+    IterationLimit."""
+    (value,) = _certified_solves([equation], tol, what)
+    if isinstance(value, IterationLimit):
+        raise value
+    return value
 
 
 def policy_evaluation(
@@ -547,12 +694,7 @@ def policy_evaluation(
     """
     if method != "direct":
         raise ValueError(f"unknown method {method!r}")
-    if x0 is not None and x0.grid != policy.grid:
-        raise ValueError("x0 must lie on the policy's grid")
-    st = _stencil(prob, policy.grid)
-    rpi = st.policy_reward(policy.q)
-    return _certified_solve(st, policy.q, rpi, tol, "policy evaluation",
-                            None if x0 is None else x0.values)
+    return _certified_solve(_policy_equation(prob, policy, x0), tol, "policy evaluation")
 
 
 def evaluate_cost(
@@ -572,7 +714,7 @@ def evaluate_cost(
     """
     st = _stencil(prob, policy.grid)
     c = _resolve_costs(cost, policy.grid)
-    return _certified_solve(st, policy.q, c, tol, "cost evaluation")
+    return _certified_solve((st, policy.q, c, None), tol, "cost evaluation")
 
 
 def policy_iteration(
@@ -607,7 +749,7 @@ def policy_iteration(
     qd = st.greedy(np.zeros(grid.n_points))
     v, krylov = None, True
     for k in range(1, max_rounds + 1):
-        v, _, _, how = _solve_policy(st, qd, st.policy_reward(qd), tol, v, krylov)
+        ((v, _, _, how),) = _solve_policy([(st, qd, st.policy_reward(qd), v)], [tol], krylov)
         # the next policy differs in a few nodes, so a miss predicts a miss
         krylov = how == "BiCGSTAB"
         qd2 = st.greedy(v)

@@ -496,6 +496,48 @@ class TestRunManifest:
             assert "alpha_star" not in res.meta
 
 
+# the alphas of the benchmark's alpha-sweep workload
+BENCHMARK_ALPHAS = [0.0, 0.001, 0.01, 0.05, 0.075] + [round(0.1 + 0.05 * k, 2) for k in range(19)]
+
+
+class TestLockstepChunks:
+    """A chunk solves its rows' IDS evaluations in one lockstep solve,
+    which leaves every row as it would be alone."""
+
+    def test_chunk_size_follows_the_grid(self):
+        assert exp._CHUNK_NODES // 801 == 8
+        assert exp._CHUNK_NODES // 20001 == 0
+
+    def test_benchmark_rows_equal_one_alpha_runs(self):
+        # 24 rows at N 801 run as chunks of 8; each equals, bit for bit,
+        # its alpha swept alone
+        r = optimal_alpha_search(0.55, 0.7, 0.99, BENCHMARK_ALPHAS, grid=801)
+        assert not r.failures and len(r.rows) == len(BENCHMARK_ALPHAS)
+        alone = [optimal_alpha_search(0.55, 0.7, 0.99, [a], grid=801).rows[0]
+                 for a in BENCHMARK_ALPHAS]
+        assert np.array(r.rows).tobytes() == np.array(sorted(alone)).tobytes()
+
+    def test_a_failed_evaluation_fails_its_row_alone(self, monkeypatch):
+        # the four cells share one chunk; the evaluation of (0.7, 0.6)
+        # misses its certificate and the other three keep their values
+        tm, tp = KIND_MANIFESTS["heatmap"]["theta_minus"], KIND_MANIFESTS["heatmap"]["theta_plus"]
+        before = delta_R_heatmap(tm, tp, 0.9, 0.5, grid=201)
+        miss = IterationLimit("policy evaluation: certified error 1 of the LU solve exceeds tol=0")
+        real, chunks = exp._certified_solves, []
+
+        def one_misses(equations, tol, what):
+            chunks.append(len(equations))
+            values = real(equations, tol, what)
+            return [miss if eq[0].prob.spec == BanditSpec(0.7, 0.6) else v
+                    for eq, v in zip(equations, values)]
+
+        monkeypatch.setattr(exp, "_certified_solves", one_misses)
+        after = delta_R_heatmap(tm, tp, 0.9, 0.5, grid=201)
+        assert chunks == [4]
+        assert after.failures == [{"row": [0.7, 0.6], "error": repr(miss)}]
+        assert after.rows == [row for row in before.rows if row[:2] != (0.7, 0.6)]
+
+
 @pytest.fixture
 def fake_pool(monkeypatch):
     """Replace the process pool by one that runs its jobs in this process

@@ -83,6 +83,15 @@ class TestGridAndContainers:
         with pytest.raises(ValueError):
             ValueFunction(g, np.array([0.0, 1.0, np.nan, 1.0, 0.0]))
 
+    def test_value_function_checks_a_scalar_belief(self):
+        # a scalar goes through the one scalar-belief rule; arrays do not
+        v = ValueFunction(BeliefGrid(5), np.arange(5.0))
+        for beta in (2.0, -3.0, math.nan):
+            with pytest.raises(ValueError, match="beta must lie in"):
+                v(beta)
+        assert v(Belief(0.5)) == v(0.5) == 3.0
+        assert np.array_equal(v(np.array([-2.0, 0.25, 3.0])), [0.0, 2.5, 4.0])
+
     def test_policy_table_validation(self):
         g = BeliefGrid(5)
         with pytest.raises(ValueError):
@@ -604,7 +613,7 @@ class TestSolveKernel:
         each solve takes the LU fallback."""
 
         def missed(A, b, x0=None, *, rtol, maxiter):
-            return np.zeros_like(b), maxiter, maxiter
+            return np.zeros_like(b), np.full(len(b), maxiter), np.full(len(b), maxiter)
 
         with monkeypatch.context() as m:
             m.setattr(solver, "_bicgstab", missed)
@@ -612,16 +621,19 @@ class TestSolveKernel:
 
     @staticmethod
     def spy(monkeypatch, fake=None):
-        """Record every BiCGSTAB call; `fake` maps the real result to the
-        one the solver sees."""
+        """Record every system BiCGSTAB solves, one record per row of a
+        stack; `fake` maps a row's real result to the one the solver
+        sees."""
         calls = []
         real = solver._bicgstab
 
-        def recorded(A, b, **kwargs):
-            x, info, iterations = real(A, b, **kwargs)
-            if fake is not None:
-                x, info = fake(x, info)
-            calls.append({"A": A, "b": b, "x": x.copy(), "info": info, **kwargs})
+        def recorded(A, b, x0=None, **kwargs):
+            x, info, iterations = real(A, b, x0=x0, **kwargs)
+            for i in range(len(b)):
+                if fake is not None:
+                    x[i], info[i] = fake(x[i], info[i])
+                calls.append({"A": A[[i]], "b": b[i], "x": x[i].copy(), "info": info[i],
+                              "x0": None if x0 is None else x0[i], **kwargs})
             return x, info, iterations
 
         monkeypatch.setattr(solver, "_bicgstab", recorded)
@@ -633,8 +645,9 @@ class TestSolveKernel:
         prob, pol = case
         st = solver._Stencil(prob, pol.grid)
         A, b = st.policy_system(pol.q), st.policy_reward(pol.q)
-        x, info, iterations = solver._bicgstab(
-            A, b, rtol=solver._KRYLOV_RTOL, maxiter=solver._KRYLOV_MAXITER
+        # a stack of one system
+        (x,), (info,), (iterations,) = solver._bicgstab(
+            A, b[None], rtol=solver._KRYLOV_RTOL, maxiter=solver._KRYLOV_MAXITER
         )
         kw = {"rtol": solver._KRYLOV_RTOL, "atol": 0.0, "maxiter": solver._KRYLOV_MAXITER}
         steps = []
@@ -770,6 +783,86 @@ class TestSolveKernel:
         assert k == k_lu > 1 and len(calls) == 1
         assert np.array_equal(v.values, v_lu.values)
         assert np.array_equal(pol_k.q, pol_lu.q)
+
+
+class TestLockstep:
+    """A stack of policy systems solved in lockstep: every row runs its
+    own BiCGSTAB scalars, so each row equals its own solve bit for bit."""
+
+    @staticmethod
+    def equations(cases, n):
+        """(stencil, q, reward, None) of the IDS(alpha) policy of each
+        (theta_minus, theta_plus, gamma, alpha) case on n nodes."""
+        out = []
+        for tm, tp, gamma, alpha in cases:
+            prob = DiscountedProblem(BanditSpec(tm, tp), gamma)
+            pol = ids_policy_on_grid(prob, BeliefGrid(n), IdsConfig(alpha=alpha, gamma=gamma))
+            out.append(solver._policy_equation(prob, pol))
+        return out
+
+    @pytest.mark.parametrize("n", [3, 201])
+    def test_stacked_product_is_each_systems_product(self, n):
+        eqs = self.equations([(0.55, 0.7, 0.9, 0.5), (0.5, 0.7, 0.99, 0.0),
+                              (0.0, 1.0, 0.5, 1.0)], n)
+        parts = [st.policy_system(q) for st, q, _, _ in eqs]
+        A = solver._PolicySystem.stack(parts)
+        v = np.random.default_rng(n).normal(size=(3, n))
+        Av = A @ v
+        for i, part in enumerate(parts):
+            assert np.array_equal(Av[i], part @ v[i])
+        # a stack of some of the systems, in any order, is theirs
+        sub = A[[2, 0]]
+        assert np.array_equal(sub @ v[[2, 0]], np.stack([parts[2] @ v[2], parts[0] @ v[0]]))
+        assert np.array_equal(A[[1]].transition().toarray(), parts[1].transition().toarray())
+
+    def test_rows_retire_at_their_own_iteration(self):
+        # systems that converge at different iterations, and a zero right
+        # side, give each row the iterate, info and count of its own solve
+        eqs = self.equations([(0.55, 0.7, 0.99, 0.5), (0.55, 0.7, 0.9, 0.0),
+                              (0.3, 0.9, 0.999, 0.25), (0.55, 0.7, 0.99, 1.0)], 801)
+        A = solver._PolicySystem.stack([st.policy_system(q) for st, q, _, _ in eqs])
+        b = np.stack([r for _, _, r, _ in eqs])
+        b[3] = 0.0
+        kw = {"rtol": solver._KRYLOV_RTOL, "maxiter": solver._KRYLOV_MAXITER}
+        x, info, iterations = solver._bicgstab(A, b, **kw)
+        assert len(set(iterations.tolist())) == len(b)
+        for i in range(len(b)):
+            (xi,), (fi,), (ki,) = solver._bicgstab(A[[i]], b[i][None], **kw)
+            assert np.array_equal(x[i], xi)
+            assert (info[i], iterations[i]) == (fi, ki)
+        assert info[3] == iterations[3] == 0 and not x[3].any()
+
+    def test_a_missed_system_alone_falls_back_to_lu(self, monkeypatch):
+        # (0.5, 0.7) at gamma 0.999 misses its certificate under BiCGSTAB
+        # (test_near_fair_coin_falls_back_within_certificate); stacked
+        # between two systems that converge, it alone goes to LU
+        cases = [(0.55, 0.7, 0.99, 0.5), (0.5, 0.7, 0.999, 0.5), (0.55, 0.7, 0.9999, 0.25)]
+        eqs = self.equations(cases, 2001)
+        tols = [default_tolerance(g) for _, _, g, _ in cases]
+        stacked = solver._solve_policy(eqs, tols)
+        assert [how for _, _, _, how in stacked] == ["BiCGSTAB", "LU after BiCGSTAB", "BiCGSTAB"]
+        for eq, tol, (v, cert, iterations, how) in zip(eqs, tols, stacked):
+            (alone,) = solver._solve_policy([eq], [tol])
+            assert np.array_equal(v, alone[0])
+            assert (cert, iterations, how) == alone[1:]
+            assert cert <= tol
+        lu = TestSolveKernel.lu_only(monkeypatch, lambda: solver._solve_policy(eqs[1:2], tols[1:2]))
+        assert np.array_equal(stacked[1][0], lu[0][0])
+
+    def test_each_row_is_certified_on_its_own(self):
+        # a tol no solve can meet fails every row alone, with the message
+        # policy_evaluation raises
+        eqs = self.equations([(0.55, 0.7, 0.99, 0.5), (0.55, 0.7, 0.9, 0.0)], 201)
+        values = solver._certified_solves(eqs, None, "policy evaluation")
+        assert all(isinstance(v, ValueFunction) for v in values)
+        failed = solver._certified_solves(eqs, 1e-30, "policy evaluation")
+        for eq, exc in zip(eqs, failed):
+            assert isinstance(exc, IterationLimit)
+            st, q = eq[0], eq[1]
+            with pytest.raises(IterationLimit) as alone:
+                policy_evaluation(st.prob, PolicyTable(st.grid, q), tol=1e-30)
+            assert repr(exc) == repr(alone.value)
+            assert (exc.iterations, exc.residual) == (alone.value.iterations, alone.value.residual)
 
 
 SLOW_MODE_SPECS = [(0.55, 0.7), (0.7, 0.7), (0.5, 0.55), (0.5, 0.5), (0.0, 1.0),
