@@ -55,14 +55,17 @@ __all__ = [
 
 WORKERS_ENV = "ARTIFACT_WORKERS"
 
-_COLUMNS = {
-    "curves": ("theta", "gamma", "max_regret"),
-    "scaling": ("one_minus_gamma", "regret_opt", "regret_ids0"),
-    "heatmap": ("theta_minus", "theta_plus", "delta_R"),
-    "alpha": ("alpha", "delta_R"),
+# each kind's CSV columns, and how many values each list it reads takes
+_ONE, _SOME = "exactly one value", "at least one value"
+_KINDS = {
+    "curves": (("theta", "gamma", "max_regret"), {"theta_plus": _SOME, "gammas": _SOME}),
+    "scaling": (("one_minus_gamma", "regret_opt", "regret_ids0"),
+                {"theta_minus": _ONE, "theta_plus": _ONE, "gammas": _SOME}),
+    "heatmap": (("theta_minus", "theta_plus", "delta_R"),
+                {"theta_minus": _SOME, "theta_plus": _SOME, "gammas": _ONE, "alphas": _ONE}),
+    "alpha": (("alpha", "delta_R"),
+              {"theta_minus": _ONE, "theta_plus": _ONE, "gammas": _ONE, "alphas": _SOME}),
 }
-
-_KINDS = tuple(_COLUMNS)
 
 # a chunk stacks at most this many grid nodes in its lockstep solve: 8
 # rows at N 801, one from N 3,251 up.  At N 801 a stencil product costs
@@ -71,17 +74,56 @@ _KINDS = tuple(_COLUMNS)
 _CHUNK_NODES = 6500
 
 
+def _number(key, x):
+    # float(True) is 1.0 and float("0.7") parses, so a numeric field
+    # takes only a JSON number
+    if isinstance(x, bool) or not isinstance(x, numbers.Real):
+        raise InvalidManifest(f"malformed manifest field {key}: {x!r} is not a number")
+    try:
+        return float(x)
+    except OverflowError:
+        # a JSON integer has no size limit
+        raise InvalidManifest(
+            f"malformed manifest field {key}: an integer beyond the float range"
+        ) from None
+
+
+def _json_type(json_type, name):
+    # int() would truncate 801.9, bool("false") is True and str(None) is
+    # "None", so these fields take only their own JSON type
+    def read(key, x):
+        if not isinstance(x, json_type) or isinstance(x, bool) and json_type is not bool:
+            raise InvalidManifest(f"malformed manifest field {key}: {x!r} is not {name}")
+        return x
+    return read
+
+
+# how from_dict reads a field, by the field's annotation; a list is an
+# array or one number, its singleton, since a string or an object would
+# otherwise iterate by character or by key
+_READERS = {
+    "str": _json_type(str, "a string"),
+    "int": _json_type(numbers.Integral, "an integer"),
+    "bool": _json_type(bool, "true or false"),
+    "float": _number,
+    "float | None": lambda key, x: None if x is None else _number(key, x),
+    "tuple": lambda key, x: (tuple(_number(key, v) for v in x) if isinstance(x, (list, tuple))
+                             else (_number(key, x),)),
+}
+
+
 @dataclass(frozen=True)
 class SweepManifest:
     """Declarative description of one sweep.
 
-    Which fields matter depends on `kind`: curves uses theta_plus as its
-    theta axis together with the symmetric flag, scaling and alpha take a
-    single spec, and heatmap crosses the two theta grids at a single
-    (gamma, alpha).
+    `_KINDS` gives the lists each kind reads and how many values each
+    takes; curves uses theta_plus as its theta axis together with the
+    symmetric flag, and the heatmap crosses the two theta grids.  A field
+    missing from the JSON object takes its default here, and a missing
+    kind fails `validate`.
     """
 
-    kind: str
+    kind: str = ""
     theta_minus: tuple = ()
     theta_plus: tuple = ()
     gammas: tuple = ()
@@ -99,53 +141,8 @@ class SweepManifest:
         unknown = set(raw) - {f.name for f in fields(cls)}
         if unknown:
             raise InvalidManifest(f"unknown manifest fields: {sorted(unknown)}")
-        def number(key, x):
-            # float(True) is 1.0 and float("0.7") parses, so a numeric
-            # field takes only a JSON number
-            if isinstance(x, bool) or not isinstance(x, numbers.Real):
-                raise InvalidManifest(f"malformed manifest field {key}: {x!r} is not a number")
-            try:
-                return float(x)
-            except OverflowError:
-                # a JSON integer has no size limit
-                raise InvalidManifest(
-                    f"malformed manifest field {key}: an integer beyond the float range"
-                ) from None
-
-        def seq(key):
-            # a grid is an array or one number, its singleton; a string or
-            # an object would otherwise iterate by character or by key
-            val = raw.get(key, ())
-            if isinstance(val, (list, tuple)):
-                return tuple(number(key, x) for x in val)
-            return (number(key, val),)
-
-        # int() would truncate 801.9 and bool("false") is True, so these
-        # two fields take only their own JSON type
-        grid = raw.get("grid", 801)
-        if isinstance(grid, bool) or not isinstance(grid, numbers.Integral):
-            raise InvalidManifest(f"malformed manifest field grid: {grid!r} is not an integer")
-        symmetric = raw.get("symmetric", True)
-        if not isinstance(symmetric, bool):
-            raise InvalidManifest(
-                f"malformed manifest field symmetric: {symmetric!r} is not true or false"
-            )
-        # str(None) is "None", a directory the sweep would then write to
-        out_dir = raw.get("out_dir", ".")
-        if not isinstance(out_dir, str):
-            raise InvalidManifest(f"malformed manifest field out_dir: {out_dir!r} is not a string")
-        m = cls(
-            kind=raw.get("kind", ""),
-            theta_minus=seq("theta_minus"),
-            theta_plus=seq("theta_plus"),
-            gammas=seq("gammas"),
-            alphas=seq("alphas"),
-            grid=int(grid),
-            tol=None if raw.get("tol") is None else number("tol", raw["tol"]),
-            beta0=number("beta0", raw.get("beta0", 0.0)),
-            symmetric=symmetric,
-            out_dir=out_dir,
-        )
+        m = cls(**{f.name: _READERS[f.type](f.name, raw[f.name])
+                   for f in fields(cls) if f.name in raw})
         m.validate()
         return m
 
@@ -161,7 +158,7 @@ class SweepManifest:
     def validate(self):
         if self.kind not in _KINDS:
             raise InvalidManifest(
-                f"kind must be one of {_KINDS}, got {self.kind!r}"
+                f"kind must be one of {tuple(_KINDS)}, got {self.kind!r}"
             )
         # each value's domain rule is the library type's that owns it
         for name, rule, values in (
@@ -178,30 +175,17 @@ class SweepManifest:
                     rule(v)
             except ValueError as exc:
                 raise InvalidManifest(f"manifest field {name}: {exc}") from None
-        if self.kind == "curves":
-            if not self.theta_plus or not self.gammas:
-                raise InvalidManifest("curves needs theta_plus and gammas")
-        elif self.kind == "scaling":
-            if len(self.theta_minus) != 1 or len(self.theta_plus) != 1:
-                raise InvalidManifest("scaling needs exactly one spec")
-            if not self.gammas:
-                raise InvalidManifest("scaling needs gammas")
-        elif self.kind == "heatmap":
-            if not self.theta_minus or not self.theta_plus:
-                raise InvalidManifest("heatmap needs both theta grids")
-            if len(self.gammas) != 1 or len(self.alphas) != 1:
-                raise InvalidManifest("heatmap needs exactly one gamma and one alpha")
+        for name, takes in _KINDS[self.kind][1].items():
+            n = len(getattr(self, name))
+            if n == 0 or n > 1 and takes is _ONE:
+                raise InvalidManifest(f"manifest field {name}: {self.kind} takes {takes}, got {n}")
+        if self.kind == "heatmap":
             for name in ("theta_minus", "theta_plus"):
                 for v in getattr(self, name):
                     if not 0.5 < v < 1.0:
                         raise InvalidManifest(
                             f"heatmap {name} value {v} outside (0.5, 1)"
                         )
-        elif self.kind == "alpha":
-            if len(self.theta_minus) != 1 or len(self.theta_plus) != 1:
-                raise InvalidManifest("alpha search needs exactly one spec")
-            if len(self.gammas) != 1 or not self.alphas:
-                raise InvalidManifest("alpha search needs one gamma and an alpha grid")
 
     def canonical(self) -> dict:
         """Parameter content only; the output directory does not change
@@ -345,7 +329,7 @@ def _sweep(kind, cell, jobs, n_workers, n, **meta):
     them.  The jobs run in chunks (_run_chunk) of as many rows as fit in
     _CHUNK_NODES stacked nodes, at least one and at most a worker's
     share, so that every worker has a chunk."""
-    result = SweepResult(kind, _COLUMNS[kind])
+    result = SweepResult(kind, _KINDS[kind][0])
     t0 = time.perf_counter()
     workers = resolve_workers(n_workers)
     size = max(1, min(_CHUNK_NODES // n, -(-len(jobs) // workers)))

@@ -258,6 +258,10 @@ class TestExpansionFit:
         with pytest.raises(InsufficientSamples):
             fit_log_regret_expansion([(1e-2, 1.0), (1e-2, 1.0), (1e-2, 1.0)])
 
+    def test_refuses_a_sample_at_gamma_one(self):
+        with pytest.raises(ValueError, match="gamma < 1"):
+            fit_log_regret_expansion([(0.9, 1.0), (0.99, 2.0), (1.0, 3.0)])
+
     def test_higher_order_fit_with_six_samples(self):
         xs = (1e-1, 3e-2, 1e-2, 3e-3, 1e-3, 3e-4)
         samples = [(1.0 - x, 1.0 - 0.5 * math.log(x) + 2.0 * x) for x in xs]

@@ -117,6 +117,11 @@ class TestObsProb:
         s = BanditSpec(0.3, 0.7)
         assert obs_prob(s, Belief(0.4), 1, 1) == obs_prob(s, 0.4, 1, 1)
 
+    def test_reads_an_observation_as_its_outcome(self):
+        s = BanditSpec(0.3, 0.7)
+        for y in (0, 1):
+            assert obs_prob(s, 0.4, -1, Observation(y)) == obs_prob(s, 0.4, -1, y)
+
 
 class TestExpectedReward:
     def test_uniform_symmetric(self):
@@ -208,6 +213,9 @@ class TestEntropy:
 
     def test_known_value(self):
         assert entropy(0.4) == pytest.approx(0.610864, abs=1e-6)
+
+    def test_accepts_belief_object(self):
+        assert entropy(Belief(0.4)) == entropy(0.4)
 
     def test_array_input(self):
         vals = entropy(np.array([-1.0, 0.0, 1.0]))

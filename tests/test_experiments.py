@@ -231,6 +231,29 @@ class TestManifestValidation:
                 }
             )
 
+    @pytest.mark.parametrize("kind, name, takes, count", [
+        (kind, name, takes, count)
+        for kind, shapes in {
+            "curves": {"theta_plus": "at least one", "gammas": "at least one"},
+            "scaling": {"theta_minus": "exactly one", "theta_plus": "exactly one",
+                        "gammas": "at least one"},
+            "heatmap": {"theta_minus": "at least one", "theta_plus": "at least one",
+                        "gammas": "exactly one", "alphas": "exactly one"},
+            "alpha": {"theta_minus": "exactly one", "theta_plus": "exactly one",
+                      "gammas": "exactly one", "alphas": "at least one"},
+        }.items()
+        for name, takes in shapes.items()
+        for count in ((0, 2) if takes == "exactly one" else (0,))
+    ])
+    def test_each_kind_refuses_a_list_of_the_wrong_length(self, kind, name, takes, count):
+        # each list a kind reads takes exactly one value or at least one,
+        # and the error names the field
+        raw = dict(KIND_MANIFESTS[kind], grid=201)
+        raw[name] = raw[name][:1] * count
+        with pytest.raises(InvalidManifest) as info:
+            SweepManifest.from_dict(raw)
+        assert str(info.value) == f"manifest field {name}: {kind} takes {takes} value, got {count}"
+
     def test_scalar_fields_become_singleton_grids(self):
         m = SweepManifest.from_dict(
             {
@@ -392,6 +415,13 @@ class TestAlphaSearch:
         r = optimal_alpha_search(0.55, 0.7, 0.9, (0.0, 0.5, 1.0), grid=201)
         for _, gap in r.rows:
             assert gap >= -1e-9
+
+    def test_no_regret_gives_zero_gaps(self):
+        # on two fair coins the optimal regret is 0 at every belief, below
+        # the floor, so every alpha's gap is 0
+        r = optimal_alpha_search(0.5, 0.5, 0.9, (0.0, 0.5, 1.0), grid=201)
+        assert r.rows == [(0.0, 0.0), (0.5, 0.0), (1.0, 0.0)]
+        assert r.failures == []
 
     def test_failed_optimal_solve_fails_every_row(self):
         # no certificate meets tol 1e-20; the sweep records every alpha

@@ -36,6 +36,7 @@ from artifact.ids import (
 from artifact.solver import (
     BeliefGrid,
     DiscountedProblem,
+    PolicyTable,
     evaluate_cost,
     extract_greedy_policy,
     policy_evaluation,
@@ -375,6 +376,13 @@ class TestSupRatioAndBound:
             bound, holds = regret_bound(prob, pol, 0.5, b0)
             assert bound == 0.0
             assert holds
+
+    def test_infinite_bound_holds(self):
+        # arm -1 at beta = 1, where arm +1 is known to be best, has regret
+        # but no information, so the sup ratio and the bound are infinite
+        prob = DiscountedProblem(BanditSpec(0.55, 0.7), 0.9)
+        pol = PolicyTable(BeliefGrid(101), np.zeros(101))
+        assert regret_bound(prob, pol, 0.5, 0.0) == (math.inf, True)
 
     @pytest.mark.parametrize("b0", [1.5, -1.5, math.nan])
     def test_invalid_start_belief_raises(self, b0):

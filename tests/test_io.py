@@ -144,8 +144,9 @@ class TestWriters:
     @pytest.mark.parametrize(
         "text",
         ["", "beta,value\n-1,0\n0\n1,0\n", "beta,value\n-1,0\nx,0\n1,0\n",
-         "beta,value\n", "beta,value\n-1,0\n1,0\n"],
-        ids=["empty", "one-cell-row", "non-numeric-cell", "header-only", "two-rows"],
+         "beta,value\n", "beta,value\n-1,0\n1,0\n", "beta,value\n-1,0\n0.1,0\n1,0\n"],
+        ids=["empty", "one-cell-row", "non-numeric-cell", "header-only", "two-rows",
+             "non-uniform-betas"],
     )
     def test_malformed_value_table_names_the_file(self, tmp_path, text):
         path = tmp_path / "bad.csv"

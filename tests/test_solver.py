@@ -832,6 +832,35 @@ class TestLockstep:
             assert (info[i], iterations[i]) == (fi, ki)
         assert info[3] == iterations[3] == 0 and not x[3].any()
 
+    class PerRow:
+        """A stack of small dense systems, one matrix per row, with the
+        two operations _bicgstab needs: `@` on a (k, n) stack and [rows]."""
+
+        def __init__(self, mats):
+            self.mats = np.asarray(mats, dtype=float)
+
+        def __matmul__(self, x):
+            return np.einsum("kij,kj->ki", self.mats, x)
+
+        def __getitem__(self, rows):
+            return type(self)(self.mats[rows])
+
+    def test_a_breakdown_retires_beside_rows_that_converge(self):
+        # the rotation maps r0 = b to a vector orthogonal to it, so rv = 0
+        # breaks its row down at iteration 0 (info -11) while a diagonal
+        # and a triangular row go on to converge
+        A = self.PerRow([[[2.0, 0.0], [0.0, 3.0]], [[0.0, -1.0], [1.0, 0.0]],
+                         [[1.0, 1.0], [0.0, 2.0]]])
+        b = np.array([[1.0, 1.0], [1.0, 0.0], [1.0, 2.0]])
+        kw = {"rtol": solver._KRYLOV_RTOL, "maxiter": solver._KRYLOV_MAXITER}
+        x, info, iterations = solver._bicgstab(A, b, **kw)
+        assert (info[1], iterations[1]) == (-11, 0)
+        assert info[0] == info[2] == 0
+        for i in range(len(b)):
+            (xi,), (fi,), (ki,) = solver._bicgstab(A[[i]], b[i][None], **kw)
+            assert np.array_equal(x[i], xi)
+            assert (info[i], iterations[i]) == (fi, ki)
+
     def test_a_missed_system_alone_falls_back_to_lu(self, monkeypatch):
         # (0.5, 0.7) at gamma 0.999 misses its certificate under BiCGSTAB
         # (test_near_fair_coin_falls_back_within_certificate); stacked

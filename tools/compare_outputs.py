@@ -24,7 +24,8 @@ from pathlib import Path
 ALPHAS = [0.0, 0.001, 0.01, 0.05, 0.075] + [round(0.1 + 0.05 * k, 2) for k in range(19)]
 # each sweep run's manifest, writing to out/: the benchmark's alpha-sweep
 # (benchmarks/run.py), one sweep of every other kind and of the fair-coin
-# curves at 401 nodes, and a manifest that exits 2 on its even grid
+# curves at 401 nodes, and two manifests that exit 2: one on its even grid,
+# one on a scaling sweep with two theta_plus values
 MANIFESTS = {
     "alpha-sweep": {
         "kind": "alpha", "theta_minus": [0.55], "theta_plus": [0.7],
@@ -48,6 +49,10 @@ MANIFESTS = {
     },
     "invalid-sweep": {
         "kind": "curves", "theta_plus": [0.7], "gammas": [0.9], "grid": 400, "out_dir": "out",
+    },
+    "wrong-length-sweep": {
+        "kind": "scaling", "theta_minus": [0.5], "theta_plus": [0.6, 0.7],
+        "gammas": [0.9], "grid": 401, "out_dir": "out",
     },
 }
 # long-horizon, fine-grid and alpha-sweep are the benchmark's workloads
