@@ -16,6 +16,10 @@ above 1 - 1.8e-6).
 Exit codes: 0 success, 2 invalid parameters, unreadable manifest or
 unusable output directory, 3 solver non-convergence or certified error
 above --tol, 4 comparison requested outside closed-form coverage.
+
+Importing this module runs bandit, errors, solver and io, all that `solve`
+needs; the commands read `ids`, `analytic` and `experiments` as module
+attributes, so each of those runs on first use (see the package docstring).
 """
 
 from __future__ import annotations
@@ -28,23 +32,10 @@ import sys
 
 import numpy as np
 
+from . import analytic, experiments, ids
 from . import io as artio
-from .analytic import (
-    fair_coin_solution,
-    fair_coin_value,
-    symmetric_value,
-)
 from .bandit import BanditSpec
 from .errors import BanditError, InvalidManifest
-from .experiments import SweepManifest, run_manifest
-from .ids import (
-    IdsConfig,
-    ids_policy_on_grid,
-    ratio_table,
-    regret_bound,
-    scaled_log_sup_ratio,
-    sup_info_ratio,
-)
 from .solver import (
     BeliefGrid,
     DiscountedProblem,
@@ -167,20 +158,20 @@ def cmd_solve(args) -> int:
 
 def cmd_ids(args) -> int:
     prob, grid, tol, header = _problem(args)
-    config = IdsConfig(alpha=args.alpha, gamma=prob.gamma)
+    config = ids.IdsConfig(alpha=args.alpha, gamma=prob.gamma)
     out = _outdir(args)
-    policy = ids_policy_on_grid(prob, grid, config)
+    policy = ids.ids_policy_on_grid(prob, grid, config)
     v = policy_evaluation(prob, policy, tol=tol)
     regret = regret_curve(prob, v)
-    psi = sup_info_ratio(prob, policy, args.alpha)
-    bound, holds = regret_bound(prob, policy, args.alpha, 0.0, value=v)
+    psi = ids.sup_info_ratio(prob, policy, args.alpha)
+    bound, holds = ids.regret_bound(prob, policy, args.alpha, 0.0, value=v)
     summary = {
         **header,
         "alpha": args.alpha,
         "boundary": policy.boundary,
         "sup_ratio": artio.json_number(psi),
         "scaled_log_sup_ratio": artio.json_number(
-            scaled_log_sup_ratio(prob, policy, args.alpha)
+            ids.scaled_log_sup_ratio(prob, policy, args.alpha)
         ),
         "regret_at_zero": float(mdp_value(prob, 0.0) - v(0.0)),
         "bound_at_zero": artio.json_number(bound),
@@ -188,7 +179,7 @@ def cmd_ids(args) -> int:
     }
     if args.format == "csv":
         artio.write_ratio_csv(
-            os.path.join(out, "ids_ratios.csv"), ratio_table(prob, policy, args.alpha)
+            os.path.join(out, "ids_ratios.csv"), ids.ratio_table(prob, policy, args.alpha)
         )
     _write_solution(args, out, "ids_", summary, v, regret, policy)
     verdict = "holds" if holds else "VIOLATED"
@@ -217,13 +208,13 @@ def cmd_compare(args) -> int:
 
     if symmetric:
         pts = reachable_beliefs(spec, 0.0, 6)
-        ana = np.array([symmetric_value(spec.theta_plus, prob.gamma, b) for b in pts])
+        ana = np.array([analytic.symmetric_value(spec.theta_plus, prob.gamma, b) for b in pts])
         rel_tol = 1e-3
         verdict_scope = "value deviation at depth-6 reachable beliefs"
     else:
-        sol = fair_coin_solution(spec.theta_plus, prob.gamma)
+        sol = analytic.fair_coin_solution(spec.theta_plus, prob.gamma)
         pts = grid.nodes[:: max(1, (grid.n_points - 1) // 200)]
-        ana = np.array([fair_coin_value(sol, b) for b in pts])
+        ana = np.array([analytic.fair_coin_value(sol, b) for b in pts])
         verdict_scope = "decision boundary against the closed-form approximation"
     num = v(pts)
     abs_dev = np.abs(num - ana)
@@ -260,8 +251,8 @@ def cmd_compare(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    manifest = SweepManifest.from_json(args.manifest)
-    outcome = run_manifest(manifest)
+    manifest = experiments.SweepManifest.from_json(args.manifest)
+    outcome = experiments.run_manifest(manifest)
     result = outcome["result"]
     print(f"sweep {manifest.kind}: {len(result.rows)} rows, "
           f"{len(result.failures)} failed, wrote {outcome['csv']}")

@@ -7,17 +7,15 @@ line endings are pinned to "\n" to keep repeated runs byte-identical.
 
 from __future__ import annotations
 
-import csv
 import json
 
 import numpy as np
 
-from .solver import BeliefGrid, PolicyTable, ValueFunction
+from .solver import PolicyTable, ValueFunction
 
 __all__ = [
     "fmt",
     "write_value_csv",
-    "read_value_csv",
     "write_policy_csv",
     "write_ratio_csv",
     "write_rows_csv",
@@ -76,30 +74,6 @@ def write_ratio_csv(path, columns):
         ["beta", "delta0", "delta1", "info0", "info1", "q_star", "ratio"],
         np.column_stack(columns),
     )
-
-
-def read_value_csv(path) -> ValueFunction:
-    """Rebuild a ValueFunction from a beta,value table on a uniform grid."""
-    betas, values = [], []
-    with open(path, newline="") as fh:
-        r = csv.reader(fh)
-        header = next(r, None)
-        if header is None or header[:2] != ["beta", "value"]:
-            raise ValueError(f"unexpected header {header!r} in {path}")
-        for row in r:
-            try:
-                beta, value = float(row[0]), float(row[1])
-            except (IndexError, ValueError):
-                raise ValueError(f"line {r.line_num} of {path} is not two numbers") from None
-            betas.append(beta)
-            values.append(value)
-    try:
-        grid = BeliefGrid(len(betas))
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
-    if not np.allclose(grid.nodes, betas, atol=1e-9):
-        raise ValueError(f"{path} does not hold a uniform odd grid on [-1, 1]")
-    return ValueFunction(grid, np.array(values))
 
 
 def json_number(x):

@@ -570,18 +570,38 @@ class TestProcessEntry:
         assert proc.stdout.splitlines()[-2:] == ["frozen", "exit 0"]
 
 
-def modules_after(code, prefixes=("scipy",)):
-    """Modules under `prefixes` loaded once `code` has run in a fresh
-    interpreter."""
-    probe = code + (
-        "\nimport json, sys"
-        f"\nprefixes = {tuple(prefixes)!r}"
-        "\nprint(json.dumps(sorted(m for m in sys.modules"
-        " if any(m == p or m.startswith(p + '.') for p in prefixes))))"
-    )
+def probe_after(code, names):
+    """The value of the expression `names`, a sorted list of module names,
+    once `code` has run in a fresh interpreter."""
+    probe = code + f"\nimport json, sys, types\nprint(json.dumps(sorted({names})))"
     proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout.splitlines()[-1])
+
+
+def modules_after(code, prefixes=("scipy",)):
+    """Modules under `prefixes` loaded once `code` has run in a fresh
+    interpreter."""
+    return probe_after(
+        f"prefixes = {tuple(prefixes)!r}\n" + code,
+        "m for m in sys.modules if any(m == p or m.startswith(p + '.') for p in prefixes)",
+    )
+
+
+def executed_after(code):
+    """The artifact modules that have run once `code` has run in a fresh
+    interpreter.  A module that waits in sys.modules to run on first use
+    is an instance of a ModuleType subclass until it runs."""
+    return probe_after(
+        code,
+        "m.split('.')[1] for m, mod in sys.modules.items()"
+        " if m.startswith('artifact.') and type(mod) is types.ModuleType",
+    )
+
+
+SOLVE = ["solve", "--theta-minus", "0.7", "--theta-plus", "0.7", "--gamma", "0.9",
+         "--grid", "101"]
+IDS = ["ids", "--alpha", "0.5", *SOLVE[1:]]
 
 
 class TestStartupImports:
@@ -594,6 +614,25 @@ class TestStartupImports:
         # `import artifact.cli`, so deferring one breaks every traced run
         traced = [f"artifact.{m}" for m in ("bandit", "experiments", "ids", "io", "solver")]
         assert modules_after("import artifact.cli", traced) == traced
+
+    def test_package_import_executes_no_module(self):
+        assert executed_after("import artifact") == []
+
+    def test_cli_import_executes_only_what_solve_needs(self):
+        assert executed_after("import artifact.cli") == ["bandit", "cli", "errors", "io", "solver"]
+
+    @pytest.mark.parametrize(
+        "command, unexecuted",
+        [(SOLVE, ["analytic", "experiments", "ids"]), (IDS, ["analytic", "experiments"])],
+        ids=["solve", "ids"],
+    )
+    def test_a_command_executes_only_what_it_calls(self, tmp_path, command, unexecuted):
+        args = [*command, "--out", str(tmp_path)]
+        executed = executed_after(f"from artifact.cli import main\nassert main({args!r}) == 0")
+        # every module either ran or waits, and none does both
+        assert sorted(executed + unexecuted) == [
+            "analytic", "bandit", "cli", "errors", "experiments", "ids", "io", "solver"
+        ]
 
 
 class TestScipyLoadsOnlyToFactor:

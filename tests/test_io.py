@@ -131,28 +131,18 @@ class TestWriters:
         )
 
     def test_value_table_round_trip(self, tmp_path):
+        # 12 digits reproduce each value within 1e-11, and writing the values
+        # read back rewrites the same bytes
         grid = BeliefGrid(801)
         vf = ValueFunction(grid, np.cos(3.0 * grid.nodes) / (1.0 - 0.99))
         first, second = tmp_path / "a.csv", tmp_path / "b.csv"
         artio.write_value_csv(first, vf)
-        back = artio.read_value_csv(first)
-        assert back.grid == grid
-        np.testing.assert_allclose(back.values, vf.values, rtol=1e-11, atol=0.0)
-        artio.write_value_csv(second, back)
+        assert first.read_text().startswith("beta,value\n")
+        beta, values = np.loadtxt(first, delimiter=",", skiprows=1, unpack=True)
+        np.testing.assert_allclose(beta, grid.nodes, rtol=0.0, atol=1e-12)
+        np.testing.assert_allclose(values, vf.values, rtol=1e-11, atol=0.0)
+        artio.write_value_csv(second, ValueFunction(grid, values))
         assert second.read_bytes() == first.read_bytes()
-
-    @pytest.mark.parametrize(
-        "text",
-        ["", "beta,value\n-1,0\n0\n1,0\n", "beta,value\n-1,0\nx,0\n1,0\n",
-         "beta,value\n", "beta,value\n-1,0\n1,0\n", "beta,value\n-1,0\n0.1,0\n1,0\n"],
-        ids=["empty", "one-cell-row", "non-numeric-cell", "header-only", "two-rows",
-             "non-uniform-betas"],
-    )
-    def test_malformed_value_table_names_the_file(self, tmp_path, text):
-        path = tmp_path / "bad.csv"
-        path.write_text(text)
-        with pytest.raises(ValueError, match="bad.csv"):
-            artio.read_value_csv(path)
 
 
 class TestJsonDoc:

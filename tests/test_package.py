@@ -1,10 +1,16 @@
 """The package namespace: each module's `__all__` is the one list of its
-public names, and `artifact` re-exports all of them."""
+public names, and `artifact` re-exports all of them, looked up on first
+use."""
 
 from __future__ import annotations
 
 import inspect
+import json
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 import artifact
 from artifact import analytic, bandit, errors, experiments, ids, solver
@@ -47,3 +53,30 @@ def test_each_library_rule_is_stated_once():
         "exceeds tol=",
     ):
         assert source.count(text) == 1, text
+
+
+def run_fresh(code):
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def test_a_lazy_module_is_an_attribute_after_its_import():
+    # `import artifact.experiments` finds the module waiting in sys.modules
+    # and binds nothing itself; the package must already hold it
+    code = "import artifact.experiments\nprint(artifact.experiments.run_manifest.__name__)"
+    assert run_fresh(code) == "run_manifest\n"
+
+
+def test_star_import_binds_exactly_all():
+    code = (
+        "import json\nns = {}\nexec('from artifact import *', ns)\n"
+        "print(json.dumps(sorted(set(ns) - {'__builtins__'})))"
+    )
+    assert json.loads(run_fresh(code)) == artifact.__all__
+
+
+def test_an_unknown_name_raises_attribute_error_naming_it():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        artifact.no_such_name
+    assert not hasattr(artifact, "read_value_csv")
