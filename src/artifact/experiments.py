@@ -25,8 +25,8 @@ from functools import lru_cache
 
 import numpy as np
 
+from . import analytic
 from . import io as artio
-from .analytic import fit_log_regret_expansion
 from .bandit import BanditSpec, _check_beta
 from .errors import BanditError, InvalidManifest
 from .ids import IdsConfig, ids_policy_on_grid
@@ -373,7 +373,7 @@ def regret_scaling_gamma(
     result = _sweep("scaling", _scaling_cell, jobs, n_workers, int(grid))
     if len({row[0] for row in result.rows}) >= 3:
         for label, col in (("fit_opt", 1), ("fit_ids0", 2)):
-            fit = fit_log_regret_expansion(
+            fit = analytic.fit_log_regret_expansion(
                 [(1.0 - row[0], row[col]) for row in result.rows]
             )
             result.meta[label] = {

@@ -604,6 +604,16 @@ SOLVE = ["solve", "--theta-minus", "0.7", "--theta-plus", "0.7", "--gamma", "0.9
 IDS = ["ids", "--alpha", "0.5", *SOLVE[1:]]
 
 
+def alpha_sweep(out):
+    """The arguments of a small alpha sweep writing to `out`."""
+    manifest = out / "manifest.json"
+    manifest.write_text(json.dumps({
+        "kind": "alpha", "theta_minus": [0.55], "theta_plus": [0.7], "gammas": [0.9],
+        "alphas": [0.0, 0.5], "grid": 101, "out_dir": str(out),
+    }))
+    return ["sweep", str(manifest)]
+
+
 class TestStartupImports:
     def test_cli_import_loads_no_pool_or_hashlib(self):
         pool = ("concurrent.futures", "multiprocessing", "hashlib")
@@ -623,11 +633,16 @@ class TestStartupImports:
 
     @pytest.mark.parametrize(
         "command, unexecuted",
-        [(SOLVE, ["analytic", "experiments", "ids"]), (IDS, ["analytic", "experiments"])],
-        ids=["solve", "ids"],
+        [
+            (lambda out: [*SOLVE, "--out", str(out)], ["analytic", "experiments", "ids"]),
+            (lambda out: [*IDS, "--out", str(out)], ["analytic", "experiments"]),
+            # only a scaling sweep fits, so the other kinds leave analytic waiting
+            (alpha_sweep, ["analytic"]),
+        ],
+        ids=["solve", "ids", "alpha-sweep"],
     )
     def test_a_command_executes_only_what_it_calls(self, tmp_path, command, unexecuted):
-        args = [*command, "--out", str(tmp_path)]
+        args = command(tmp_path)
         executed = executed_after(f"from artifact.cli import main\nassert main({args!r}) == 0")
         # every module either ran or waits, and none does both
         assert sorted(executed + unexecuted) == [

@@ -1,5 +1,6 @@
 """CSV writer: its bytes against a per-cell csv.writer reference, the
-block boundaries, mixed row types, and the value-table round trip."""
+block boundaries, mixed row types, the value-table round trip, and the
+grid tables written from a cached row template."""
 
 from __future__ import annotations
 
@@ -13,6 +14,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from artifact import io as artio
+from artifact.cli import main
 from artifact.solver import BeliefGrid, PolicyTable, ValueFunction
 
 
@@ -63,6 +65,19 @@ def header_of(ncols):
     return [f"c{k}" for k in range(ncols)]
 
 
+RATIO_HEADER = ["beta", "delta0", "delta1", "info0", "info1", "q_star", "ratio"]
+
+
+def special_columns(grid, ncols):
+    """`ncols` value columns on `grid`, the SPECIAL cells among them."""
+    rng = np.random.default_rng(grid.n_points)
+    cols = rng.standard_normal((ncols, grid.n_points)) * 10.0 ** rng.integers(
+        -300, 300, (ncols, grid.n_points)
+    )
+    cols.ravel()[: len(SPECIAL)] = SPECIAL[: cols.size]
+    return cols
+
+
 class TestTableKernel:
     @settings(max_examples=300, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -109,16 +124,20 @@ class TestWriters:
         with pytest.raises(ValueError):
             artio.write_rows_csv(tmp_path / "t.csv", ["a", "b"], [(1.0, 2.0, 3.0)])
 
-    def test_typed_writers_match_the_row_reference(self, tmp_path):
-        grid = BeliefGrid(101)
+    @pytest.mark.parametrize("n", [3, 101, 1023, 1025, 2049])
+    def test_typed_writers_match_the_row_reference(self, tmp_path, n):
+        grid = BeliefGrid(n)
         b = grid.nodes
-        vf = ValueFunction(grid, np.exp(b) / 3.0)
+        vf = ValueFunction(grid, np.where(b > 0.5, -0.0, np.where(b < -0.5, 5e-324, np.exp(b))))
         pt = PolicyTable(grid, (b > 0.2).astype(float))
-        cols = (b, b**2, -b, np.abs(b), b / 7.0, pt.q, np.where(b > 0.5, np.inf, b))
+        cols = (b, *special_columns(grid, 6))
 
+        artio._node_rows.cache_clear()
         artio.write_value_csv(tmp_path / "v.csv", vf)
         artio.write_policy_csv(tmp_path / "p.csv", pt)
         artio.write_ratio_csv(tmp_path / "r.csv", cols)
+        # one grid's row template, formatted once and reused
+        assert artio._node_rows.cache_info()[:2] == (2, 1)
 
         assert (tmp_path / "v.csv").read_bytes() == reference_bytes(
             ["beta", "value"], zip(b, vf.values)
@@ -126,9 +145,7 @@ class TestWriters:
         assert (tmp_path / "p.csv").read_bytes() == reference_bytes(
             ["beta", "q"], zip(b, pt.q)
         )
-        assert (tmp_path / "r.csv").read_bytes() == reference_bytes(
-            ["beta", "delta0", "delta1", "info0", "info1", "q_star", "ratio"], zip(*cols)
-        )
+        assert (tmp_path / "r.csv").read_bytes() == reference_bytes(RATIO_HEADER, zip(*cols))
 
     def test_value_table_round_trip(self, tmp_path):
         # 12 digits reproduce each value within 1e-11, and writing the values
@@ -158,3 +175,63 @@ class TestJsonDoc:
         assert path.read_bytes() == before
         assert json.loads(before) == {"a": 1.0}
         assert before.endswith(b"}\n")
+
+
+class TestGridRows:
+    """Tables whose first column is a grid's nodes, written from the
+    grid's cached row template."""
+
+    @pytest.mark.parametrize("n", [3, 1023, 1025, 2049])
+    @pytest.mark.parametrize("ncols", [2, 7])
+    def test_matches_per_cell_reference(self, tmp_path, n, ncols):
+        grid = BeliefGrid(n)
+        cols = special_columns(grid, ncols - 1)
+        header = header_of(ncols)
+        path = tmp_path / "t.csv"
+        artio._write_table(path, header, cols.T, grid)
+        data = path.read_bytes()
+        assert data == reference_bytes(header, zip(grid.nodes, *cols))
+        assert data.count(b"\n") == n + 1
+
+    def test_other_beta_columns_take_the_generic_path(self, tmp_path):
+        # the nodes but for the sign of zero, reversed, or one node short
+        grid = BeliefGrid(5)
+        for beta in (np.where(grid.nodes == 0.0, -0.0, grid.nodes), grid.nodes[::-1],
+                     grid.nodes[:4]):
+            cols = (beta, *special_columns(grid, 6)[:, : len(beta)])
+            artio._node_rows.cache_clear()
+            artio.write_ratio_csv(tmp_path / "r.csv", cols)
+            assert artio._node_rows.cache_info().currsize == 0
+            assert (tmp_path / "r.csv").read_bytes() == reference_bytes(RATIO_HEADER, zip(*cols))
+
+    def test_a_second_grid_gets_its_own_nodes(self, tmp_path):
+        for n in (1025, 801, 1025):
+            grid = BeliefGrid(n)
+            vf = ValueFunction(grid, grid.nodes**3)
+            artio.write_value_csv(tmp_path / "v.csv", vf)
+            assert (tmp_path / "v.csv").read_bytes() == reference_bytes(
+                ["beta", "value"], zip(grid.nodes, vf.values)
+            )
+
+    @pytest.mark.parametrize("command", ["solve", "ids"])
+    def test_cli_tables_match_the_generic_writer(self, tmp_path, monkeypatch, command):
+        args = [command, "--theta-minus", "0.55", "--theta-plus", "0.7", "--gamma", "0.99",
+                "--grid", "2049"] + (["--alpha", "0.5"] if command == "ids" else [])
+        assert main([*args, "--out", str(tmp_path / "cached")]) == 0
+        write, grids = artio._write_table, []
+
+        def generic(path, header, table, grid=None):
+            grids.append(grid)
+            if grid is not None:
+                table = np.column_stack((grid.nodes, table))
+            write(path, header, table)
+
+        monkeypatch.setattr(artio, "_write_table", generic)
+        assert main([*args, "--out", str(tmp_path / "generic")]) == 0
+        names = sorted(p.name for p in (tmp_path / "cached").glob("*.csv"))
+        assert len(names) == len(grids) == (4 if command == "ids" else 3)
+        assert all(g == BeliefGrid(2049) for g in grids)
+        for name in names:
+            assert (tmp_path / "cached" / name).read_bytes() == (
+                tmp_path / "generic" / name
+            ).read_bytes(), name

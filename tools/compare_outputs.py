@@ -63,6 +63,12 @@ RUNS = {
                    "--gamma", "0.99", "--format", "json", "--out", "out"],
     "ids-fine-grid": ["ids", "--theta-minus", "0.55", "--theta-plus", "0.7", "--gamma", "0.99",
                       "--alpha", "0.5", "--grid", "20001", "--out", "out"],
+    # the grid tables' block edges: N 1025 leaves one row in the last
+    # block of 1024, N 2049 one row in the third
+    "ids-block-edge": ["ids", "--theta-minus", "0.55", "--theta-plus", "0.7", "--gamma", "0.99",
+                       "--alpha", "0.5", "--grid", "1025", "--out", "out"],
+    "solve-block-edge": ["solve", "--theta-minus", "0.55", "--theta-plus", "0.7",
+                         "--gamma", "0.99", "--grid", "2049", "--out", "out"],
     "compare": ["compare", "--theta-minus", "0.5", "--theta-plus", "0.7",
                 "--gamma", "0.99", "--grid", "801", "--out", "out"],
     "compare-symmetric": ["compare", "--theta-minus", "0.7", "--theta-plus", "0.7",
