@@ -4,13 +4,14 @@ Four sweep kinds are supported: regret-versus-theta curves, regret
 scaling as gamma approaches one, relative-regret heatmaps over arm
 parameters, and a search over the ratio exponent alpha.  Sweeps are
 described by a JSON manifest.  Every kind runs its rows through one
-path, `_sweep`: a row is its key followed by what the kind's cell
-returns, rows are independent jobs that a process pool may run
-concurrently, and the pipeline contains no randomness, so identical
-manifests produce byte-identical CSV files whatever the worker count.
-Each worker runs its rows in chunks, and a chunk solves its rows' IDS
-policy evaluations as one lockstep BiCGSTAB solve, which leaves every
-row's iterates as a solve of its own would.  A row whose cell raises a
+path, `_sweep`: a job is plain data (key, prob, alpha, extra), rows are
+independent jobs that a process pool may run concurrently, and the
+pipeline contains no randomness, so identical manifests produce
+byte-identical CSV files whatever the worker count.  Each worker runs
+its rows in chunks of three phases: every row's optimal value and IDS
+policy, one lockstep BiCGSTAB evaluation of the chunk's IDS policies,
+which leaves every row's iterates as a solve of its own would, then
+every row by its kind's row function.  A row whose solve raises a
 solver error is recorded as a failure rather than aborting the sweep.
 """
 
@@ -179,13 +180,6 @@ class SweepManifest:
             n = len(getattr(self, name))
             if n == 0 or n > 1 and takes is _ONE:
                 raise InvalidManifest(f"manifest field {name}: {self.kind} takes {takes}, got {n}")
-        if self.kind == "heatmap":
-            for name in ("theta_minus", "theta_plus"):
-                for v in getattr(self, name):
-                    if not 0.5 < v < 1.0:
-                        raise InvalidManifest(
-                            f"heatmap {name} value {v} outside (0.5, 1)"
-                        )
 
     def canonical(self) -> dict:
         """Parameter content only; the output directory does not change
@@ -234,36 +228,21 @@ def _optimal_solve(prob, grid, tol):
     return v
 
 
-def _curve_cell(theta, gamma, symmetric, n, tol):
-    prob = DiscountedProblem(BanditSpec(theta if symmetric else 0.5, theta), gamma)
-    r = regret_curve(prob, _optimal_solve(prob, BeliefGrid(n), tol)).values
-    return (float(np.max(r)) if symmetric else float(r[(n - 1) // 2]),)
+def _curve_row(prob, vopt, symmetric):
+    """The maximum optimal regret, or the regret at beta = 0."""
+    r = regret_curve(prob, vopt).values
+    return (float(np.max(r)) if symmetric else float(r[len(r) // 2]),)
 
 
-def _ids_values(prob, alpha, n, tol):
-    """The optimal value on n nodes, and IDS(alpha)'s warm-started from
-    it.  A generator: it yields the arguments (prob, policy, x0) of the
-    IDS policy evaluation and receives its value, so that a chunk solves
-    the evaluations of all its rows at once (_run_chunk)."""
-    vopt = _optimal_solve(prob, BeliefGrid(n), tol)
-    policy = ids_policy_on_grid(prob, vopt.grid, IdsConfig(alpha=alpha, gamma=prob.gamma))
-    vids = yield prob, policy, vopt
-    return vopt, vids
-
-
-def _scaling_cell(spec, gamma, beta0, n, tol):
+def _scaling_row(prob, vopt, vids, beta0):
     """Optimal and IDS(0) regret at beta0."""
-    prob = DiscountedProblem(spec, gamma)
-    vopt, vids = yield from _ids_values(prob, 0.0, n, tol)
     v_mdp = mdp_value(prob, beta0)
     return float(v_mdp - vopt(beta0)), float(v_mdp - vids(beta0))
 
 
-def _gap_cell(tm, tp, gamma, alpha, n, tol):
+def _gap_row(prob, vopt, vids):
     """Max relative excess of the IDS(alpha) regret over the optimal
     regret, taken over beliefs whose optimal regret clears the floor."""
-    prob = DiscountedProblem(BanditSpec(tm, tp), gamma)
-    vopt, vids = yield from _ids_values(prob, alpha, n, tol)
     r_opt = regret_curve(prob, vopt).values
     r_ids = regret_curve(prob, vids).values
     mask = r_opt > max(1e-6, 1e-4 * float(np.max(r_opt)))
@@ -276,39 +255,33 @@ def _failure(key, exc):
     return {"row": list(key), "error": repr(exc)}
 
 
-def _run_chunk(jobs):
-    """The rows of a chunk of (cell, key, args) jobs, in job order: a row
-    is its key followed by what its cell returns, or a failure record of
-    the key when the cell raises a BanditError.
-
-    A cell returns its values, or is a generator (_ids_values) that
-    yields one policy evaluation and returns its values once it is sent
-    the value.  The chunk first runs every cell up to its evaluation, then
-    solves the evaluations in lockstep (solver._certified_solves), then
-    sends each value, or throws in the IterationLimit that
-    policy_evaluation would have raised."""
-    rows, waiting, equations = [], [], []
-    for cell, key, args in jobs:
+def _run_chunk(chunk):
+    """The rows, in job order, of a chunk (row, n, tol, jobs) of (key,
+    prob, alpha, extra) jobs on n nodes, in three phases: each job's
+    optimal value and, unless alpha is None, its IDS(alpha) policy; one
+    lockstep evaluation of those policies (solver._certified_solves),
+    warm-started from the optimal values; then each row, the key followed
+    by row(prob, vopt, *extra), or row(prob, vopt, vids, *extra) with an
+    alpha.  A BanditError of the first phase, or the IterationLimit of a
+    missed evaluation, becomes its row's failure record."""
+    row, n, tol, jobs = chunk
+    grid = BeliefGrid(n)
+    solved, equations = [], []
+    for key, prob, alpha, _ in jobs:
         try:
-            out = cell(*args)
-            if isinstance(out, tuple):
-                rows.append(key + out)
-                continue
-            equations.append(_policy_equation(*next(out)))
-            waiting.append((len(rows), key, out))
-            rows.append(None)
+            vopt = _optimal_solve(prob, grid, tol)
+            if alpha is not None:
+                policy = ids_policy_on_grid(prob, grid, IdsConfig(alpha=alpha, gamma=prob.gamma))
+                equations.append(_policy_equation(prob, policy, vopt))
+            solved.append(vopt)
         except BanditError as exc:
-            rows.append(_failure(key, exc))
-    values = _certified_solves(equations, None, "policy evaluation") if equations else []
-    for (i, key, gen), value in zip(waiting, values):
-        try:
-            if isinstance(value, BanditError):
-                gen.throw(value)
-            gen.send(value)
-        except StopIteration as stop:
-            rows[i] = key + stop.value
-        except BanditError as exc:
-            rows[i] = _failure(key, exc)
+            solved.append(exc)
+    values = iter(_certified_solves(equations, None, "policy evaluation") if equations else ())
+    rows = []
+    for (key, prob, alpha, extra), vopt in zip(jobs, solved):
+        args = [vopt] if alpha is None or isinstance(vopt, BanditError) else [vopt, next(values)]
+        failed = next((a for a in args if isinstance(a, BanditError)), None)
+        rows.append(key + row(prob, *args, *extra) if failed is None else _failure(key, failed))
     return rows
 
 
@@ -323,20 +296,18 @@ def _run_jobs(jobs, worker, n_workers):
         return list(pool.map(worker, jobs, chunksize=1))
 
 
-def _sweep(kind, cell, jobs, n_workers, n, **meta):
-    """Run the (key, args) jobs of one sweep kind on n nodes through
-    `cell`, keep the rows sorted and the failures in job order, and time
-    them.  The jobs run in chunks (_run_chunk) of as many rows as fit in
-    _CHUNK_NODES stacked nodes, at least one and at most a worker's
-    share, so that every worker has a chunk."""
+def _sweep(kind, row, jobs, n_workers, n, tol, **meta):
+    """Run the (key, prob, alpha, extra) jobs of one sweep kind on n
+    nodes, building each row with `row`, keep the rows sorted and the
+    failures in job order, and time them.  The jobs run in chunks
+    (_run_chunk: optimal solves, one lockstep IDS evaluation, then rows)
+    of as many rows as fit in _CHUNK_NODES stacked nodes, at least one
+    and at most a worker's share, so that every worker has a chunk."""
     result = SweepResult(kind, _KINDS[kind][0])
     t0 = time.perf_counter()
     workers = resolve_workers(n_workers)
     size = max(1, min(_CHUNK_NODES // n, -(-len(jobs) // workers)))
-    chunks = [
-        [(cell, key, args) for key, args in jobs[i:i + size]]
-        for i in range(0, len(jobs), size)
-    ]
+    chunks = [(row, n, tol, jobs[i:i + size]) for i in range(0, len(jobs), size)]
     for rows in _run_jobs(chunks, _run_chunk, workers):
         for out in rows:
             (result.failures if isinstance(out, dict) else result.rows).append(out)
@@ -355,12 +326,14 @@ def max_regret_vs_theta(
     (theta, theta); otherwise the minus arm is a fair coin and the metric
     is the regret at beta = 0.
     """
+    symmetric = bool(symmetric)
     jobs = [
-        ((th, g), (th, g, bool(symmetric), int(grid), tol))
+        ((th, g), DiscountedProblem(BanditSpec(th if symmetric else 0.5, th), g), None,
+         (symmetric,))
         for th in map(float, theta_grid)
         for g in map(float, gammas)
     ]
-    return _sweep("curves", _curve_cell, jobs, n_workers, int(grid), symmetric=bool(symmetric))
+    return _sweep("curves", _curve_row, jobs, n_workers, int(grid), tol, symmetric=symmetric)
 
 
 def regret_scaling_gamma(
@@ -369,8 +342,8 @@ def regret_scaling_gamma(
     """Optimal and IDS(0) regret at beta0 for each gamma, plus two-term
     logarithmic fits of both columns when the rows that survive hold at
     least three distinct gammas."""
-    jobs = [((1.0 - g,), (spec, g, beta0, int(grid), tol)) for g in map(float, gammas)]
-    result = _sweep("scaling", _scaling_cell, jobs, n_workers, int(grid))
+    jobs = [((1.0 - g,), DiscountedProblem(spec, g), 0.0, (beta0,)) for g in map(float, gammas)]
+    result = _sweep("scaling", _scaling_row, jobs, n_workers, int(grid), tol)
     if len({row[0] for row in result.rows}) >= 3:
         for label, col in (("fit_opt", 1), ("fit_ids0", 2)):
             fit = analytic.fit_log_regret_expansion(
@@ -390,11 +363,11 @@ def delta_R_heatmap(
     """Relative IDS regret gap on the cross product of the theta grids."""
     gamma, alpha = float(gamma), float(alpha)
     jobs = [
-        ((tm, tp), (tm, tp, gamma, alpha, int(grid), tol))
+        ((tm, tp), DiscountedProblem(BanditSpec(tm, tp), gamma), alpha, ())
         for tm in map(float, theta_minus_grid)
         for tp in map(float, theta_plus_grid)
     ]
-    return _sweep("heatmap", _gap_cell, jobs, n_workers, int(grid), gamma=gamma, alpha=alpha)
+    return _sweep("heatmap", _gap_row, jobs, n_workers, int(grid), tol, gamma=gamma, alpha=alpha)
 
 
 def optimal_alpha_search(
@@ -407,9 +380,9 @@ def optimal_alpha_search(
     so no row depends on the order of the alphas or on the worker count;
     the gap curve need not be monotone in alpha.
     """
-    tm, tp, gamma = float(theta_minus), float(theta_plus), float(gamma)
-    jobs = [((a,), (tm, tp, gamma, a, int(grid), tol)) for a in map(float, alpha_grid)]
-    result = _sweep("alpha", _gap_cell, jobs, n_workers, int(grid))
+    prob = DiscountedProblem(BanditSpec(float(theta_minus), float(theta_plus)), float(gamma))
+    jobs = [((a,), prob, a, ()) for a in map(float, alpha_grid)]
+    result = _sweep("alpha", _gap_row, jobs, n_workers, int(grid), tol)
     if result.rows:
         best = min(result.rows, key=lambda r: (r[1], r[0]))
         result.meta["alpha_star"] = best[0]

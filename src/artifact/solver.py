@@ -74,7 +74,8 @@ class DiscountedProblem:
 
 @dataclass(frozen=True)
 class BeliefGrid:
-    """Uniform odd grid on [-1, 1]; oddness pins a node at beta = 0."""
+    """Uniform odd grid on [-1, 1]; oddness gives a middle node, pinned
+    at beta = +0.0 exactly."""
 
     n_points: int
 
@@ -88,7 +89,10 @@ class BeliefGrid:
 
     @cached_property
     def nodes(self) -> np.ndarray:
-        return np.linspace(-1.0, 1.0, self.n_points)
+        nodes = np.linspace(-1.0, 1.0, self.n_points)
+        # linspace leaves -1.1e-16 there on some grids, e.g. 99 and 197
+        nodes[self.n_points // 2] = 0.0
+        return nodes
 
     @property
     def spacing(self) -> float:

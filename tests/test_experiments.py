@@ -205,20 +205,6 @@ class TestManifestValidation:
                 }
             )
 
-    def test_heatmap_thetas_must_be_interior(self):
-        # the relative-gap metric divides by the optimal regret, which
-        # vanishes at theta = 1/2, so the heatmap domain excludes it
-        with pytest.raises(InvalidManifest, match="heatmap"):
-            SweepManifest.from_dict(
-                {
-                    "kind": "heatmap",
-                    "theta_minus": [0.5],
-                    "theta_plus": [0.7],
-                    "gammas": [0.9],
-                    "alphas": [0.5],
-                }
-            )
-
     def test_alpha_search_needs_alpha_grid(self):
         with pytest.raises(InvalidManifest, match="alpha"):
             SweepManifest.from_dict(
@@ -335,12 +321,13 @@ class TestCurves:
         r = max_regret_vs_theta((0.9,), (0.995,), symmetric=True, grid=401)
         assert abs(r.rows[0][2] - 0.5) < 0.1
 
-    def test_fair_metric_is_regret_at_center(self):
-        r = max_regret_vs_theta((0.9,), (0.7,), symmetric=False, grid=201)
+    # np.linspace alone leaves -1.1e-16 at the middle node of N 99
+    @pytest.mark.parametrize("n", [201, 99])
+    def test_fair_metric_is_regret_at_center(self, n):
+        r = max_regret_vs_theta((0.9,), (0.7,), symmetric=False, grid=n)
         prob = DiscountedProblem(BanditSpec(0.5, 0.7), 0.9)
-        v, _, _ = policy_iteration(prob, BeliefGrid(201))
-        expected = float(mdp_value(prob, 0.0) - v(0.0))
-        assert r.rows[0][2] == pytest.approx(expected, rel=1e-12)
+        v, _, _ = policy_iteration(prob, BeliefGrid(n))
+        assert r.rows[0][2] == float(mdp_value(prob, 0.0) - v(0.0))
         assert r.meta["symmetric"] is False
 
     def test_peak_moves_left_as_gamma_grows(self):
@@ -401,6 +388,21 @@ class TestHeatmap:
         r = delta_R_heatmap((0.6,), (0.7,), 0.9, 0.25, grid=201)
         assert r.meta["gamma"] == 0.9
         assert r.meta["alpha"] == 0.25
+
+    def test_heatmap_thetas_may_lie_anywhere_in_the_unit_interval(self, tmp_path):
+        # a theta's range is BanditSpec's, [0, 1]; where the optimal regret
+        # stays below the floor, as on two fair coins, the gap is 0
+        thetas = {"theta_minus": [0.0, 0.3, 0.5, 1.0], "theta_plus": [0.0, 0.45, 0.5, 1.0]}
+        m = SweepManifest.from_dict({**KIND_MANIFESTS["heatmap"], **thetas, "grid": 101,
+                                     "out_dir": str(tmp_path)})
+        out = run_manifest(m)
+        res = out["result"]
+        assert res.failures == []
+        assert [row[:2] for row in res.rows] == [
+            (tm, tp) for tm in thetas["theta_minus"] for tp in thetas["theta_plus"]
+        ]
+        assert {(tm, tp): d for tm, tp, d in res.rows}[(0.5, 0.5)] == 0.0
+        assert len(Path(out["csv"]).read_text().splitlines()) == 1 + 16
 
 
 class TestAlphaSearch:
@@ -546,6 +548,24 @@ class TestLockstepChunks:
         alone = [optimal_alpha_search(0.55, 0.7, 0.99, [a], grid=801).rows[0]
                  for a in BENCHMARK_ALPHAS]
         assert np.array(r.rows).tobytes() == np.array(sorted(alone)).tobytes()
+
+    def test_phases_run_in_order(self, monkeypatch):
+        # the four cells share one chunk: every optimal solve comes before
+        # the one lockstep evaluation, and every row is built after it
+        tm, tp = KIND_MANIFESTS["heatmap"]["theta_minus"], KIND_MANIFESTS["heatmap"]["theta_plus"]
+        calls = []
+
+        def spy(name, real):
+            def call(*args):
+                calls.append(name)
+                return real(*args)
+            monkeypatch.setattr(exp, name, call)
+
+        for name in ("_optimal_solve", "_certified_solves", "_gap_row"):
+            spy(name, getattr(exp, name))
+        r = delta_R_heatmap(tm, tp, 0.9, 0.5, grid=201)
+        assert len(r.rows) == 4 and not r.failures
+        assert calls == ["_optimal_solve"] * 4 + ["_certified_solves"] + ["_gap_row"] * 4
 
     def test_a_failed_evaluation_fails_its_row_alone(self, monkeypatch):
         # the four cells share one chunk; the evaluation of (0.7, 0.6)

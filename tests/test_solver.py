@@ -67,7 +67,11 @@ class TestGridAndContainers:
         g = BeliefGrid(5)
         np.testing.assert_allclose(g.nodes, [-1.0, -0.5, 0.0, 0.5, 1.0])
         assert g.spacing == 0.5
-        assert g.nodes[g.n_points // 2] == 0.0
+        # linspace alone leaves -1.1e-16 at the middle of 2,504 odd grids
+        # below 40,000, the first at n 99; the middle node is +0.0 on all
+        for n in range(3, 4001, 2):
+            middle = BeliefGrid(n).nodes[n // 2]
+            assert middle == 0.0 and not np.signbit(middle), n
 
     def test_interp_is_linear_between_nodes(self):
         g = BeliefGrid(5)

@@ -24,8 +24,9 @@ from pathlib import Path
 ALPHAS = [0.0, 0.001, 0.01, 0.05, 0.075] + [round(0.1 + 0.05 * k, 2) for k in range(19)]
 # each sweep run's manifest, writing to out/: the benchmark's alpha-sweep
 # (benchmarks/run.py), one sweep of every other kind and of the fair-coin
-# curves at 401 nodes, and two manifests that exit 2: one on its even grid,
-# one on a scaling sweep with two theta_plus values
+# curves at 401 nodes, a heatmap whose thetas reach 1/2, and two manifests
+# that exit 2: one on its even grid, one on a scaling sweep with two
+# theta_plus values
 MANIFESTS = {
     "alpha-sweep": {
         "kind": "alpha", "theta_minus": [0.55], "theta_plus": [0.7],
@@ -45,6 +46,10 @@ MANIFESTS = {
     },
     "heatmap-sweep": {
         "kind": "heatmap", "theta_minus": [0.6, 0.7], "theta_plus": [0.6, 0.7, 0.8],
+        "gammas": [0.99], "alphas": [0.5], "grid": 401, "out_dir": "out",
+    },
+    "heatmap-fair-sweep": {
+        "kind": "heatmap", "theta_minus": [0.3, 0.5], "theta_plus": [0.5, 0.7],
         "gammas": [0.99], "alphas": [0.5], "grid": 401, "out_dir": "out",
     },
     "invalid-sweep": {
@@ -69,6 +74,9 @@ RUNS = {
                        "--alpha", "0.5", "--grid", "1025", "--out", "out"],
     "solve-block-edge": ["solve", "--theta-minus", "0.55", "--theta-plus", "0.7",
                          "--gamma", "0.99", "--grid", "2049", "--out", "out"],
+    # linspace leaves -1.1e-16 at the middle node of N 99
+    "solve-odd-center": ["solve", "--theta-minus", "0.55", "--theta-plus", "0.7",
+                         "--gamma", "0.99", "--grid", "99", "--out", "out"],
     "compare": ["compare", "--theta-minus", "0.5", "--theta-plus", "0.7",
                 "--gamma", "0.99", "--grid", "801", "--out", "out"],
     "compare-symmetric": ["compare", "--theta-minus", "0.7", "--theta-plus", "0.7",
