@@ -127,9 +127,10 @@ def _write_solution(args, out, stem, summary, v, regret, policy):
         doc = dict(summary, value=_series(v), regret=_series(regret), policy=q)
         artio.write_json_doc(base + "solution.json", doc)
         return
-    artio.write_value_csv(base + "value.csv", v)
-    artio.write_value_csv(base + "regret.csv", regret)
-    artio.write_policy_csv(base + "policy.csv", policy)
+    grid = policy.grid
+    artio.write_grid_csv(base + "value.csv", grid, ["beta", "value"], [v.values])
+    artio.write_grid_csv(base + "regret.csv", grid, ["beta", "value"], [regret.values])
+    artio.write_grid_csv(base + "policy.csv", grid, ["beta", "q"], [policy.q])
     artio.write_json_doc(base + "summary.json", summary)
 
 
@@ -178,8 +179,10 @@ def cmd_ids(args) -> int:
         "bound_holds": holds,
     }
     if args.format == "csv":
-        artio.write_ratio_csv(
-            os.path.join(out, "ids_ratios.csv"), ids.ratio_table(prob, policy, args.alpha)
+        artio.write_grid_csv(
+            os.path.join(out, "ids_ratios.csv"), grid,
+            ["beta", "delta0", "delta1", "info0", "info1", "q_star", "ratio"],
+            ids.ratio_table(prob, policy, args.alpha)[1:],
         )
     _write_solution(args, out, "ids_", summary, v, regret, policy)
     verdict = "holds" if holds else "VIOLATED"

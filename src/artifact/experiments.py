@@ -276,7 +276,7 @@ def _run_chunk(chunk):
             solved.append(vopt)
         except BanditError as exc:
             solved.append(exc)
-    values = iter(_certified_solves(equations, None, "policy evaluation") if equations else ())
+    values = iter(_certified_solves(equations, None, "policy evaluation"))
     rows = []
     for (key, prob, alpha, extra), vopt in zip(jobs, solved):
         args = [vopt] if alpha is None or isinstance(vopt, BanditError) else [vopt, next(values)]

@@ -524,6 +524,8 @@ def _solve_policy(equations, tol, krylov=True):
     given, leaves a residual in that complement, which deflates both
     modes (Saad, Iterative Methods for Sparse Linear Systems, 2003).
     """
+    if not equations:
+        return []
     A = _PolicySystem.stack([st.policy_system(q) for st, q, _, _ in equations])
     gamma = np.array(A.gammas)
     # a stack of one is a view, so a single solve copies nothing

@@ -567,6 +567,19 @@ class TestLockstepChunks:
         assert len(r.rows) == 4 and not r.failures
         assert calls == ["_optimal_solve"] * 4 + ["_certified_solves"] + ["_gap_row"] * 4
 
+    def test_a_curves_chunk_solves_no_equations(self, monkeypatch):
+        # curves rows have no IDS policy: the chunk's one lockstep call
+        # takes an empty list and every row is still written
+        real, chunks = exp._certified_solves, []
+
+        def record(equations, tol, what):
+            chunks.append(len(equations))
+            return real(equations, tol, what)
+
+        monkeypatch.setattr(exp, "_certified_solves", record)
+        r = max_regret_vs_theta((0.95, 0.9), (0.7, 0.6), grid=201)
+        assert chunks == [0] and len(r.rows) == 4 and not r.failures
+
     def test_a_failed_evaluation_fails_its_row_alone(self, monkeypatch):
         # the four cells share one chunk; the evaluation of (0.7, 0.6)
         # misses its certificate and the other three keep their values

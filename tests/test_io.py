@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from artifact import io as artio
 from artifact.cli import main
-from artifact.solver import BeliefGrid, PolicyTable, ValueFunction
+from artifact.solver import BeliefGrid
 
 
 def reference_bytes(header, rows):
@@ -125,40 +125,38 @@ class TestWriters:
             artio.write_rows_csv(tmp_path / "t.csv", ["a", "b"], [(1.0, 2.0, 3.0)])
 
     @pytest.mark.parametrize("n", [3, 101, 1023, 1025, 2049])
-    def test_typed_writers_match_the_row_reference(self, tmp_path, n):
+    def test_grid_tables_match_the_row_reference(self, tmp_path, n):
         grid = BeliefGrid(n)
         b = grid.nodes
-        vf = ValueFunction(grid, np.where(b > 0.5, -0.0, np.where(b < -0.5, 5e-324, np.exp(b))))
-        pt = PolicyTable(grid, (b > 0.2).astype(float))
-        cols = (b, *special_columns(grid, 6))
+        values = np.where(b > 0.5, -0.0, np.where(b < -0.5, 5e-324, np.exp(b)))
+        q = (b > 0.2).astype(float)
+        cols = special_columns(grid, 6)
 
         artio._node_rows.cache_clear()
-        artio.write_value_csv(tmp_path / "v.csv", vf)
-        artio.write_policy_csv(tmp_path / "p.csv", pt)
-        artio.write_ratio_csv(tmp_path / "r.csv", cols)
+        artio.write_grid_csv(tmp_path / "v.csv", grid, ["beta", "value"], [values])
+        artio.write_grid_csv(tmp_path / "p.csv", grid, ["beta", "q"], [q])
+        artio.write_grid_csv(tmp_path / "r.csv", grid, RATIO_HEADER, cols)
         # one grid's row template, formatted once and reused
         assert artio._node_rows.cache_info()[:2] == (2, 1)
 
         assert (tmp_path / "v.csv").read_bytes() == reference_bytes(
-            ["beta", "value"], zip(b, vf.values)
+            ["beta", "value"], zip(b, values)
         )
-        assert (tmp_path / "p.csv").read_bytes() == reference_bytes(
-            ["beta", "q"], zip(b, pt.q)
-        )
-        assert (tmp_path / "r.csv").read_bytes() == reference_bytes(RATIO_HEADER, zip(*cols))
+        assert (tmp_path / "p.csv").read_bytes() == reference_bytes(["beta", "q"], zip(b, q))
+        assert (tmp_path / "r.csv").read_bytes() == reference_bytes(RATIO_HEADER, zip(b, *cols))
 
     def test_value_table_round_trip(self, tmp_path):
         # 12 digits reproduce each value within 1e-11, and writing the values
         # read back rewrites the same bytes
         grid = BeliefGrid(801)
-        vf = ValueFunction(grid, np.cos(3.0 * grid.nodes) / (1.0 - 0.99))
+        values = np.cos(3.0 * grid.nodes) / (1.0 - 0.99)
         first, second = tmp_path / "a.csv", tmp_path / "b.csv"
-        artio.write_value_csv(first, vf)
+        artio.write_grid_csv(first, grid, ["beta", "value"], [values])
         assert first.read_text().startswith("beta,value\n")
-        beta, values = np.loadtxt(first, delimiter=",", skiprows=1, unpack=True)
+        beta, read = np.loadtxt(first, delimiter=",", skiprows=1, unpack=True)
         np.testing.assert_allclose(beta, grid.nodes, rtol=0.0, atol=1e-12)
-        np.testing.assert_allclose(values, vf.values, rtol=1e-11, atol=0.0)
-        artio.write_value_csv(second, ValueFunction(grid, values))
+        np.testing.assert_allclose(read, values, rtol=1e-11, atol=0.0)
+        artio.write_grid_csv(second, grid, ["beta", "value"], [read])
         assert second.read_bytes() == first.read_bytes()
 
 
@@ -193,24 +191,13 @@ class TestGridRows:
         assert data == reference_bytes(header, zip(grid.nodes, *cols))
         assert data.count(b"\n") == n + 1
 
-    def test_other_beta_columns_take_the_generic_path(self, tmp_path):
-        # the nodes but for the sign of zero, reversed, or one node short
-        grid = BeliefGrid(5)
-        for beta in (np.where(grid.nodes == 0.0, -0.0, grid.nodes), grid.nodes[::-1],
-                     grid.nodes[:4]):
-            cols = (beta, *special_columns(grid, 6)[:, : len(beta)])
-            artio._node_rows.cache_clear()
-            artio.write_ratio_csv(tmp_path / "r.csv", cols)
-            assert artio._node_rows.cache_info().currsize == 0
-            assert (tmp_path / "r.csv").read_bytes() == reference_bytes(RATIO_HEADER, zip(*cols))
-
     def test_a_second_grid_gets_its_own_nodes(self, tmp_path):
         for n in (1025, 801, 1025):
             grid = BeliefGrid(n)
-            vf = ValueFunction(grid, grid.nodes**3)
-            artio.write_value_csv(tmp_path / "v.csv", vf)
+            values = grid.nodes**3
+            artio.write_grid_csv(tmp_path / "v.csv", grid, ["beta", "value"], [values])
             assert (tmp_path / "v.csv").read_bytes() == reference_bytes(
-                ["beta", "value"], zip(grid.nodes, vf.values)
+                ["beta", "value"], zip(grid.nodes, values)
             )
 
     @pytest.mark.parametrize("command", ["solve", "ids"])

@@ -882,6 +882,10 @@ class TestLockstep:
         lu = TestSolveKernel.lu_only(monkeypatch, lambda: solver._solve_policy(eqs[1:2], tols[1:2]))
         assert np.array_equal(stacked[1][0], lu[0][0])
 
+    def test_no_equations_give_no_values(self):
+        assert solver._solve_policy([], []) == []
+        assert solver._certified_solves([], None, "x") == []
+
     def test_each_row_is_certified_on_its_own(self):
         # a tol no solve can meet fails every row alone, with the message
         # policy_evaluation raises

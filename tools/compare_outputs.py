@@ -72,6 +72,9 @@ RUNS = {
     # block of 1024, N 2049 one row in the third
     "ids-block-edge": ["ids", "--theta-minus", "0.55", "--theta-plus", "0.7", "--gamma", "0.99",
                        "--alpha", "0.5", "--grid", "1025", "--out", "out"],
+    # the ratio column is inf at 138 nodes, so the writer meets non-finite cells
+    "ids-tiny-alpha": ["ids", "--theta-minus", "0.55", "--theta-plus", "0.7", "--gamma", "0.99",
+                       "--alpha", "0.001", "--grid", "401", "--out", "out"],
     "solve-block-edge": ["solve", "--theta-minus", "0.55", "--theta-plus", "0.7",
                          "--gamma", "0.99", "--grid", "2049", "--out", "out"],
     # linspace leaves -1.1e-16 at the middle node of N 99
