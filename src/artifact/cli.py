@@ -6,8 +6,9 @@ the solver against the closed forms on the subclasses that have them,
 and `sweep` executes a JSON manifest.  Data goes to files under --out;
 standard output carries a short summary only.
 
-`solve`, `compare` and sweeps share one optimal solver: policy iteration
-followed by one Bellman backup that certifies ||V - V*|| <= ||TV - V||/(1-gamma).
+`solve`, `compare` and sweeps share one optimal solver, solver._optimal_solve:
+policy iteration followed by one Bellman backup that certifies
+||V - V*|| <= ||TV - V||/(1-gamma).
 `ids` certifies its linear solve by the residual bound.  --tol is the
 acceptance bound on the certified error (default 1e-9/(1-gamma), raised
 to the float floor 8*eps/(1-gamma)^2 of a certificate when gamma is
@@ -39,12 +40,10 @@ from .errors import BanditError, InvalidManifest
 from .solver import (
     BeliefGrid,
     DiscountedProblem,
+    _optimal_solve,
     _resolve_tol,
-    certify_optimal,
     decision_boundary,
-    mdp_value,
     policy_evaluation,
-    policy_iteration,
     reachable_beliefs,
     regret_curve,
 )
@@ -137,8 +136,7 @@ def _write_solution(args, out, stem, summary, v, regret, policy):
 def cmd_solve(args) -> int:
     prob, grid, tol, header = _problem(args)
     out = _outdir(args)
-    v, policy, rounds = policy_iteration(prob, grid)
-    bound = certify_optimal(prob, v, tol)
+    v, policy, rounds, bound = _optimal_solve(prob, grid, tol)
     regret = regret_curve(prob, v)
     summary = {
         **header,
@@ -174,7 +172,7 @@ def cmd_ids(args) -> int:
         "scaled_log_sup_ratio": artio.json_number(
             ids.scaled_log_sup_ratio(prob, policy, args.alpha)
         ),
-        "regret_at_zero": float(mdp_value(prob, 0.0) - v(0.0)),
+        "regret_at_zero": regret(0.0),
         "bound_at_zero": artio.json_number(bound),
         "bound_holds": holds,
     }
@@ -206,8 +204,7 @@ def cmd_compare(args) -> int:
         )
         return 4
     out = _outdir(args)
-    v, policy, _ = policy_iteration(prob, grid)
-    certify_optimal(prob, v, tol)
+    v, policy, _, _ = _optimal_solve(prob, grid, tol)
 
     if symmetric:
         pts = reachable_beliefs(spec, 0.0, 6)

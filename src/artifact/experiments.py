@@ -8,11 +8,12 @@ path, `_sweep`: a job is plain data (key, prob, alpha, extra), rows are
 independent jobs that a process pool may run concurrently, and the
 pipeline contains no randomness, so identical manifests produce
 byte-identical CSV files whatever the worker count.  Each worker runs
-its rows in chunks of three phases: every row's optimal value and IDS
-policy, one lockstep BiCGSTAB evaluation of the chunk's IDS policies,
-which leaves every row's iterates as a solve of its own would, then
-every row by its kind's row function.  A row whose solve raises a
-solver error is recorded as a failure rather than aborting the sweep.
+its rows in chunks of three phases: every row's optimal value, from the
+one owner solver._optimal_solve, and IDS policy; one lockstep BiCGSTAB
+evaluation of the chunk's IDS policies, which leaves every row's
+iterates as a solve of its own would; then every row by its kind's row
+function.  A row whose solve raises a solver error is recorded as a
+failure rather than aborting the sweep.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ import numbers
 import os
 import time
 from dataclasses import dataclass, field, fields
-from functools import lru_cache
 
 import numpy as np
 
@@ -30,16 +30,15 @@ from . import analytic
 from . import io as artio
 from .bandit import BanditSpec, _check_beta
 from .errors import BanditError, InvalidManifest
-from .ids import IdsConfig, ids_policy_on_grid
+from .ids import IdsConfig, _check_alpha, ids_policy_on_grid
 from .solver import (
     BeliefGrid,
     DiscountedProblem,
     _certified_solves,
+    _optimal_solve,
     _policy_equation,
     _resolve_tol,
-    certify_optimal,
     mdp_value,
-    policy_iteration,
     regret_curve,
 )
 
@@ -161,12 +160,12 @@ class SweepManifest:
             raise InvalidManifest(
                 f"kind must be one of {tuple(_KINDS)}, got {self.kind!r}"
             )
-        # each value's domain rule is the library type's that owns it
+        # each value's domain rule is that of the library code that owns it
         for name, rule, values in (
             ("theta_minus", lambda v: BanditSpec(v, 0.5), self.theta_minus),
             ("theta_plus", lambda v: BanditSpec(0.5, v), self.theta_plus),
             ("gammas", lambda v: DiscountedProblem(BanditSpec(0.5, 0.5), v), self.gammas),
-            ("alphas", lambda v: IdsConfig(alpha=v, gamma=0.0), self.alphas),
+            ("alphas", _check_alpha, self.alphas),
             ("grid", BeliefGrid, (self.grid,)),
             ("tol", lambda v: _resolve_tol(0.0, v), (self.tol,)),
             ("beta0", _check_beta, (self.beta0,)),
@@ -215,23 +214,10 @@ def resolve_workers(n_workers=None) -> int:
     return 1
 
 
-@lru_cache(maxsize=1)
-def _optimal_solve(prob, grid, tol):
-    """Optimal value on the grid by policy iteration, certified by one
-    Bellman backup; raises IterationLimit when the certified error exceeds
-    tol (default default_tolerance(gamma)).  The value of the last (prob,
-    grid, tol) is kept read-only, so the rows of an alpha sweep share one
-    solve; a failure is not kept, so every row meets it again."""
-    v, _, _ = policy_iteration(prob, grid)
-    certify_optimal(prob, v, tol)
-    v.values.flags.writeable = False
-    return v
-
-
 def _curve_row(prob, vopt, symmetric):
     """The maximum optimal regret, or the regret at beta = 0."""
-    r = regret_curve(prob, vopt).values
-    return (float(np.max(r)) if symmetric else float(r[len(r) // 2]),)
+    r = regret_curve(prob, vopt)
+    return (float(np.max(r.values)) if symmetric else r(0.0),)
 
 
 def _scaling_row(prob, vopt, vids, beta0):
@@ -258,18 +244,19 @@ def _failure(key, exc):
 def _run_chunk(chunk):
     """The rows, in job order, of a chunk (row, n, tol, jobs) of (key,
     prob, alpha, extra) jobs on n nodes, in three phases: each job's
-    optimal value and, unless alpha is None, its IDS(alpha) policy; one
-    lockstep evaluation of those policies (solver._certified_solves),
-    warm-started from the optimal values; then each row, the key followed
-    by row(prob, vopt, *extra), or row(prob, vopt, vids, *extra) with an
-    alpha.  A BanditError of the first phase, or the IterationLimit of a
-    missed evaluation, becomes its row's failure record."""
+    solver._optimal_solve value and, unless alpha is None, its IDS(alpha)
+    policy; one lockstep evaluation of those policies
+    (solver._certified_solves), warm-started from the optimal values; then
+    each row, the key followed by row(prob, vopt, *extra), or row(prob,
+    vopt, vids, *extra) with an alpha.  A BanditError of the first phase,
+    or the IterationLimit of a missed evaluation, becomes its row's failure
+    record."""
     row, n, tol, jobs = chunk
     grid = BeliefGrid(n)
     solved, equations = [], []
     for key, prob, alpha, _ in jobs:
         try:
-            vopt = _optimal_solve(prob, grid, tol)
+            vopt = _optimal_solve(prob, grid, tol)[0]
             if alpha is not None:
                 policy = ids_policy_on_grid(prob, grid, IdsConfig(alpha=alpha, gamma=prob.gamma))
                 equations.append(_policy_equation(prob, policy, vopt))

@@ -5,7 +5,8 @@ between nodes, so continuation values are read off by piecewise-linear
 interpolation; that keeps the Bellman operator monotone and a
 gamma-contraction in the max norm.  The module provides the operator
 itself, value iteration, Howard policy iteration with a Bellman-residual
-certificate, policy evaluation and a generic discounted-cost evaluator
+certificate (the certified optimum of the CLI and the sweeps, owned by
+_optimal_solve), policy evaluation and a generic discounted-cost evaluator
 (both by one direct solve with a residual certificate: certified
 BiCGSTAB, with sparse LU as the fallback), the full-information
 reference value, regret curves, greedy policy extraction with boundary
@@ -779,6 +780,20 @@ def certify_optimal(
     bound = float(np.max(np.abs(st.backup(v.values) - v.values))) / (1.0 - prob.gamma)
     _check_certificate(bound, tol, "the optimal value")
     return bound
+
+
+@lru_cache(maxsize=1)
+def _optimal_solve(prob, grid, tol):
+    """The certified grid optimum (value, policy, rounds, bound):
+    policy_iteration, then certify_optimal against tol; raises
+    IterationLimit when either fails.  The last (prob, grid, tol) is kept
+    read-only, so the rows of an alpha sweep share one solve; a failure
+    is not kept, so every row meets it again."""
+    v, policy, rounds = policy_iteration(prob, grid)
+    bound = certify_optimal(prob, v, tol)
+    v.values.flags.writeable = False
+    policy.q.flags.writeable = False
+    return v, policy, rounds, bound
 
 
 def policy_transition(prob: DiscountedProblem, policy: PolicyTable):

@@ -133,7 +133,7 @@ class TestSolve:
         def boom(*args, **kwargs):
             raise IterationLimit("sweep budget exhausted", 10, 1.0)
 
-        monkeypatch.setattr(cli, "policy_iteration", boom)
+        monkeypatch.setattr(cli, "_optimal_solve", boom)
         rc = cli.main(
             [
                 "solve",
@@ -370,11 +370,11 @@ class TestCompare:
     @pytest.mark.parametrize("tm, tp", [(0.7, 0.7), (0.5, 0.7)])
     def test_gamma_zero_exits_4_before_solving(self, tmp_path, monkeypatch, capsys, tm, tp):
         # both closed forms need 0 < gamma, so the coverage check refuses
-        # gamma 0 before policy iteration runs or --out is created
+        # gamma 0 before the optimal solve runs or --out is created
         def spy(*args, **kwargs):
-            raise AssertionError("policy_iteration called")
+            raise AssertionError("_optimal_solve called")
 
-        monkeypatch.setattr(cli, "policy_iteration", spy)
+        monkeypatch.setattr(cli, "_optimal_solve", spy)
         rc = cli.main(
             [
                 "compare",

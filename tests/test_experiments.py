@@ -19,7 +19,13 @@ from artifact.experiments import (
     resolve_workers,
     run_manifest,
 )
-from artifact.solver import BeliefGrid, DiscountedProblem, mdp_value, policy_iteration
+from artifact.solver import (
+    BeliefGrid,
+    DiscountedProblem,
+    default_tolerance,
+    mdp_value,
+    policy_iteration,
+)
 
 
 # one small manifest of every sweep kind, each with more than one row
@@ -651,14 +657,17 @@ class TestRunJobs:
 
 class TestOptimalSolve:
     def test_cached_value_is_shared_and_read_only(self):
-        # the rows of an alpha sweep share this one value, so no row may
-        # change it under the next
+        # the rows of an alpha sweep share this one solve, so no row may
+        # change its value or its policy under the next
         prob = DiscountedProblem(BanditSpec(0.55, 0.7), 0.9)
-        v = exp._optimal_solve(prob, BeliefGrid(201), None)
-        assert exp._optimal_solve(prob, BeliefGrid(201), None) is v
-        assert not v.values.flags.writeable
-        with pytest.raises(ValueError):
-            v.values[0] = 0.0
+        solved = exp._optimal_solve(prob, BeliefGrid(201), None)
+        assert exp._optimal_solve(prob, BeliefGrid(201), None) is solved
+        v, policy, rounds, bound = solved
+        assert rounds >= 1 and 0.0 <= bound <= default_tolerance(0.9)
+        for arr in (v.values, policy.q):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
 
 
 class TestResolveWorkers:

@@ -4,6 +4,7 @@ use."""
 
 from __future__ import annotations
 
+import ast
 import inspect
 import json
 import subprocess
@@ -53,6 +54,33 @@ def test_each_library_rule_is_stated_once():
         "exceeds tol=",
     ):
         assert source.count(text) == 1, text
+
+
+def test_the_certified_optimum_has_one_owner():
+    # policy iteration and its certificate run together in one function,
+    # which the CLI and the sweeps call; a second caller would be free to
+    # drop the certificate or the cache rules
+    callers = {"policy_iteration": set(), "certify_optimal": set()}
+
+    class Visitor(ast.NodeVisitor):
+        def __init__(self, module):
+            self.scope = [module]
+
+        def visit_FunctionDef(self, node):
+            self.scope.append(node.name)
+            self.generic_visit(node)
+            self.scope.pop()
+
+        def visit_Call(self, node):
+            name = getattr(node.func, "id", getattr(node.func, "attr", None))
+            if name in callers:
+                callers[name].add(".".join(self.scope))
+            self.generic_visit(node)
+
+    for path in Path(artifact.__file__).parent.glob("*.py"):
+        Visitor(path.stem).visit(ast.parse(path.read_text()))
+    for name, found in callers.items():
+        assert len(found) == 1, (name, sorted(found))
 
 
 def run_fresh(code):

@@ -3,12 +3,13 @@
     python3 tools/compare_outputs.py BASE_TREE [HEAD_TREE]
 
 HEAD_TREE defaults to the checkout holding this script.  Each tree runs
-every command of RUNS from its own src/, single-threaded, in a fresh
-temporary directory, a sweep with its manifest from MANIFESTS; a command's
-stdout with its exit status, and its stderr, count as two more outputs.  Outputs are compared byte for byte, except that the `elapsed_s`
-line of a sweep sidecar, a wall time, is dropped from every JSON file.
-Prints each output that differs or exists in one tree only, and exits 1
-when there is one.
+every command of RUNS from its own src/, single-threaded except for the
+sweeps that WORKERS gives a pool, in a fresh temporary directory, a sweep
+with its manifest from MANIFESTS; a command's stdout with its exit status,
+and its stderr, count as two more outputs.  Outputs are compared byte for
+byte, except that the `elapsed_s` line of a sweep sidecar, a wall time,
+is dropped from every JSON file.  Prints each output that differs or
+exists in one tree only, and exits 1 when there is one.
 """
 
 from __future__ import annotations
@@ -23,15 +24,22 @@ from pathlib import Path
 
 ALPHAS = [0.0, 0.001, 0.01, 0.05, 0.075] + [round(0.1 + 0.05 * k, 2) for k in range(19)]
 # each sweep run's manifest, writing to out/: the benchmark's alpha-sweep
-# (benchmarks/run.py), one sweep of every other kind and of the fair-coin
-# curves at 401 nodes, a heatmap whose thetas reach 1/2, and two manifests
-# that exit 2: one on its even grid, one on a scaling sweep with two
-# theta_plus values
+# (benchmarks/run.py), and again with a tol that no optimal solve meets,
+# so every row is a failure record; one sweep of every other kind and of
+# the fair-coin curves at 401 nodes, a heatmap whose thetas reach 1/2, the
+# heatmap again on a pool of WORKERS, and two manifests that exit 2: one
+# on its even grid, one on a scaling sweep with two theta_plus values
+ALPHA_SWEEP = {
+    "kind": "alpha", "theta_minus": [0.55], "theta_plus": [0.7],
+    "gammas": [0.99], "alphas": ALPHAS, "grid": 801, "out_dir": "out",
+}
+HEATMAP_SWEEP = {
+    "kind": "heatmap", "theta_minus": [0.6, 0.7], "theta_plus": [0.6, 0.7, 0.8],
+    "gammas": [0.99], "alphas": [0.5], "grid": 401, "out_dir": "out",
+}
 MANIFESTS = {
-    "alpha-sweep": {
-        "kind": "alpha", "theta_minus": [0.55], "theta_plus": [0.7],
-        "gammas": [0.99], "alphas": ALPHAS, "grid": 801, "out_dir": "out",
-    },
+    "alpha-sweep": ALPHA_SWEEP,
+    "alpha-sweep-uncertified": {**ALPHA_SWEEP, "tol": 1e-14},
     "curves-sweep": {
         "kind": "curves", "theta_plus": [0.6, 0.7, 0.8], "gammas": [0.9, 0.99],
         "grid": 401, "out_dir": "out",
@@ -44,10 +52,8 @@ MANIFESTS = {
         "kind": "scaling", "theta_minus": [0.5], "theta_plus": [0.7],
         "gammas": [0.9, 0.99, 0.999], "grid": 401, "out_dir": "out",
     },
-    "heatmap-sweep": {
-        "kind": "heatmap", "theta_minus": [0.6, 0.7], "theta_plus": [0.6, 0.7, 0.8],
-        "gammas": [0.99], "alphas": [0.5], "grid": 401, "out_dir": "out",
-    },
+    "heatmap-sweep": HEATMAP_SWEEP,
+    "heatmap-sweep-pooled": HEATMAP_SWEEP,
     "heatmap-fair-sweep": {
         "kind": "heatmap", "theta_minus": [0.3, 0.5], "theta_plus": [0.5, 0.7],
         "gammas": [0.99], "alphas": [0.5], "grid": 401, "out_dir": "out",
@@ -60,6 +66,9 @@ MANIFESTS = {
         "gammas": [0.9], "grid": 401, "out_dir": "out",
     },
 }
+# ARTIFACT_WORKERS of the runs that do not run serially: a pool of two
+# gives each worker process its own cached optimal solve
+WORKERS = {"heatmap-sweep-pooled": 2}
 # long-horizon, fine-grid and alpha-sweep are the benchmark's workloads
 RUNS = {
     "solve-long-horizon": ["solve", "--theta-minus", "0.7", "--theta-plus", "0.7",
@@ -87,13 +96,16 @@ RUNS = {
     **{name: ["sweep", "manifest.json"] for name in MANIFESTS},
     # error paths, whose stderr carries the library's messages: the optimal
     # value's and the policy evaluation's certificates miss tol (exit 3),
-    # and an alpha outside [0, 1] is refused (exit 2)
+    # an alpha outside [0, 1] is refused (exit 2), and compare is asked for
+    # arms that no closed form covers (exit 4)
     "solve-uncertified": ["solve", "--theta-minus", "0.7", "--theta-plus", "0.7",
                           "--gamma", "0.99", "--tol", "1e-14", "--out", "out"],
     "ids-uncertified": ["ids", "--theta-minus", "0.55", "--theta-plus", "0.7", "--gamma", "0.99",
                         "--alpha", "0.5", "--tol", "1e-30", "--out", "out"],
     "ids-invalid-alpha": ["ids", "--theta-minus", "0.55", "--theta-plus", "0.7",
                           "--gamma", "0.99", "--alpha", "1.5", "--out", "out"],
+    "compare-uncovered": ["compare", "--theta-minus", "0.3", "--theta-plus", "0.3",
+                          "--gamma", "0.9", "--grid", "401", "--out", "out"],
 }
 ELAPSED = re.compile(rb'^\s*"elapsed_s": [^\n]*\n', re.M)
 
@@ -101,15 +113,16 @@ ELAPSED = re.compile(rb'^\s*"elapsed_s": [^\n]*\n', re.M)
 def run_all(tree: Path, work: Path) -> dict:
     """Every output of RUNS on `tree`, keyed by run and relative path."""
     env = dict(os.environ, PYTHONPATH=str(tree / "src"), OPENBLAS_NUM_THREADS="1",
-               OMP_NUM_THREADS="1", ARTIFACT_WORKERS="1")
+               OMP_NUM_THREADS="1")
     outputs = {}
     for name, args in RUNS.items():
         cwd = work / name
         cwd.mkdir(parents=True)
         if name in MANIFESTS:
             (cwd / args[1]).write_text(json.dumps(MANIFESTS[name]))
-        proc = subprocess.run([sys.executable, "-m", "artifact.cli", *args],
-                              cwd=cwd, env=env, capture_output=True)
+        proc = subprocess.run([sys.executable, "-m", "artifact.cli", *args], cwd=cwd,
+                              env=dict(env, ARTIFACT_WORKERS=str(WORKERS.get(name, 1))),
+                              capture_output=True)
         outputs[f"{name}: stdout"] = proc.stdout + f"exit {proc.returncode}\n".encode()
         outputs[f"{name}: stderr"] = proc.stderr
         for f in sorted((cwd / "out").rglob("*")):
