@@ -12,17 +12,18 @@ BiCGSTAB, with sparse LU as the fallback), the full-information
 reference value, regret curves, greedy policy extraction with boundary
 reporting, and enumeration of reachable beliefs.
 
-BiCGSTAB and the certificates apply the policy system as a numpy
-stencil product over a stencil built once for the last (problem, grid)
-and shared by every call on it.  The product reads only the arm each
-node plays: four entries at a pure node, eight at a mixed one, added in
-the order of the full stencil, so it equals the eight-entry product bit
-for bit.  One BiCGSTAB kernel solves a stack of policy systems of one
-grid size in lockstep, each row with its own scalars, so a row's
-iterates do not depend on the rows beside it; a single solve is a stack
-of one.  BiCGSTAB starts exact on the linear functions of beta, the two
-slowest modes of every policy system.  scipy.sparse is imported only
-where a sparse matrix is assembled, for an LU fallback or by
+BiCGSTAB, the certificates and the Bellman backup apply one numpy
+stencil product, the policy system's M v, over a stencil built once for
+the last (problem, grid) and shared by every call on it; the backup
+applies it to the two pure policies.  The product reads only the arm
+each node plays: four entries at a pure node, eight at a mixed one,
+added in the order of the full stencil, so it equals the eight-entry
+product bit for bit.  One BiCGSTAB kernel solves a stack of policy
+systems of one grid size in lockstep, each row with its own scalars, so
+a row's iterates do not depend on the rows beside it; a single solve is
+a stack of one.  BiCGSTAB starts exact on the linear functions of beta,
+the two slowest modes of every policy system.  scipy.sparse is imported
+only where a sparse matrix is assembled, for an LU fallback or by
 policy_transition, so a run whose solves all converge under BiCGSTAB
 never loads scipy.
 """
@@ -171,7 +172,8 @@ def _myopic_q(r):
 
 
 class _Stencil:
-    """Precomputed per-(action, outcome) transition data for one problem/grid.
+    """Per-(action, outcome) transition data for one problem/grid, and
+    the Bellman backup, which applies it by the played-arm product.
 
     For each (a, y) we store the predictive probability at every node, the
     lower interpolation index of the updated belief, and the fractional
@@ -190,17 +192,24 @@ class _Stencil:
         # the expected reward of arm a is its predictive probability of y = 1
         self.r = {a: self.p[(a, 1)] for a in (-1, 1)}
 
+    @cached_property
+    def arm_systems(self):
+        """Per arm a, the policy system of the pure policy on a, built on
+        first use, so ids, which never backs up, builds none.  Its weights
+        (a pure system has no mixed rows) are read-only like the stencil;
+        its column indices are not, since numpy's take copies a read-only
+        index array on every call."""
+        systems = {a: self.policy_system(np.full(self.grid.n_points, (1.0 + a) / 2.0))
+                   for a in (-1, 1)}
+        for s in systems.values():
+            s.data.flags.writeable = False
+        return systems
+
     def q_values(self, v):
-        """Per arm, the reward plus gamma times the predictive average of v
-        interpolated at the two updated beliefs."""
-        q = {}
-        for a in (-1, 1):
-            cont = 0.0
-            for y in (0, 1):
-                j, t = self.j[(a, y)], self.t[(a, y)]
-                cont += self.p[(a, y)] * (v[j] * (1.0 - t) + v[j + 1] * t)
-            q[a] = self.r[a] + self.prob.gamma * cont
-        return q
+        """Per arm a, r_a + gamma * M_a v, by the played-arm product of
+        the pure policy on a that every policy equation applies."""
+        return {a: self.r[a] + self.prob.gamma * s.transition_product(v)
+                for a, s in self.arm_systems.items()}
 
     def backup(self, v):
         q = self.q_values(v)
@@ -306,8 +315,8 @@ class _PolicySystem:
             for i in keep
         ])
 
-    def __matmul__(self, v):
-        # a reduction over axis 0 adds the four leading terms in order;
+    def transition_product(self, v):
+        # M v: a reduction over axis 0 adds the four leading terms in order;
         # mixed rows then add their arm +1 terms one at a time after them
         terms = v.take(self.cols)
         terms *= self.data
@@ -319,7 +328,10 @@ class _PolicySystem:
             for term in extra:
                 part += term
             mv[self.rows] = part
-        mv = mv.reshape(v.shape)
+        return mv.reshape(v.shape)
+
+    def __matmul__(self, v):
+        mv = self.transition_product(v)
         mv *= self.gamma
         return v - mv
 
@@ -782,13 +794,17 @@ def certify_optimal(
     return bound
 
 
-@lru_cache(maxsize=1)
 def _optimal_solve(prob, grid, tol):
     """The certified grid optimum (value, policy, rounds, bound):
     policy_iteration, then certify_optimal against tol; raises
-    IterationLimit when either fails.  The last (prob, grid, tol) is kept
-    read-only, so the rows of an alpha sweep share one solve; a failure
-    is not kept, so every row meets it again."""
+    IterationLimit when either fails.  The last (prob, grid, resolved
+    tol) is kept read-only, so the rows of an alpha sweep and a tol of
+    None or its default share one solve; a failure is not kept."""
+    return _certified_optimum(prob, grid, _resolve_tol(prob.gamma, tol))
+
+
+@lru_cache(maxsize=1)
+def _certified_optimum(prob, grid, tol):
     v, policy, rounds = policy_iteration(prob, grid)
     bound = certify_optimal(prob, v, tol)
     v.values.flags.writeable = False

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import artifact.experiments as exp
+import artifact.solver as solver
 from artifact.bandit import BanditSpec
 from artifact.errors import InvalidManifest, IterationLimit
 from artifact.experiments import (
@@ -668,6 +669,15 @@ class TestOptimalSolve:
             assert not arr.flags.writeable
             with pytest.raises(ValueError):
                 arr[0] = 0.0
+
+    def test_default_tol_shares_one_entry(self):
+        # tol is resolved before the lookup, so None and the default it
+        # stands for are one solve
+        prob, grid = DiscountedProblem(BanditSpec(0.55, 0.7), 0.9), BeliefGrid(201)
+        solver._certified_optimum.cache_clear()
+        for tol in (None, default_tolerance(0.9), None):
+            exp._optimal_solve(prob, grid, tol)
+        assert solver._certified_optimum.cache_info()[:2] == (2, 1)
 
 
 class TestResolveWorkers:

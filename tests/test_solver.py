@@ -576,6 +576,22 @@ class TestPolicySystem:
         np.add.at(ref, (np.tile(np.arange(n), 8), cols.ravel()), data.ravel())
         assert np.array_equal(A.transition().toarray(), ref)
 
+    @pytest.mark.parametrize("n", [3, 201])
+    @pytest.mark.parametrize("tm, tp", [(0.55, 0.7), (0.5, 0.7), (0.0, 1.0), (1.0, 0.3)])
+    def test_backup_applies_the_policy_product(self, tm, tp, n):
+        # one kernel: where a pure policy plays arm a, the backup's q of a
+        # is r_a + gamma * M_pi v bit for bit, from the policy's own system
+        gamma = 0.9
+        st = solver._stencil(DiscountedProblem(BanditSpec(tm, tp), gamma), BeliefGrid(n))
+        rng = np.random.default_rng(n)
+        for _ in range(3):
+            pi, v = rng.choice([0.0, 1.0], n), rng.normal(size=n)
+            q = st.q_values(v)
+            mv = st.policy_system(pi).transition_product(v)
+            for a, plays in ((-1, pi == 0.0), (1, pi == 1.0)):
+                want = st.r[a] + gamma * mv
+                assert np.array_equal(q[a][plays], want[plays])
+
     def test_transition_drops_only_the_idle_arm(self):
         # a pure row stores at most its four played entries; I - gamma*M,
         # where sparse arithmetic drops zeros, is the eight-entry system
@@ -982,6 +998,21 @@ class TestSlowModes:
         assert solver._stencil(prob, BeliefGrid(201)) is st
         arrays = [*st.p.values(), *st.j.values(), *st.t.values()]
         assert not any(a.flags.writeable for a in arrays)
+
+    def test_pure_arm_systems_are_built_on_first_backup_with_read_only_weights(self):
+        prob = DiscountedProblem(BanditSpec(0.6, 0.75), 0.9)
+        grid = BeliefGrid(101)
+        pol = ids_policy_on_grid(prob, grid, IdsConfig(alpha=0.5, gamma=0.9))
+        policy_evaluation(prob, pol)
+        st = solver._stencil(prob, grid)
+        assert "arm_systems" not in vars(st)
+        bellman_backup(ValueFunction(grid, np.zeros(grid.n_points)), prob)
+        systems = vars(st)["arm_systems"]
+        assert st.arm_systems is systems and sorted(systems) == [-1, 1]
+        for s in systems.values():
+            assert not s.data.flags.writeable and s.extra_data.size == 0
+            # a read-only index array would make every take copy it
+            assert s.cols.flags.writeable
 
     def test_stencil_holds_twelve_node_arrays(self):
         # p, j and t of each (arm, outcome); r aliases p, and the policy

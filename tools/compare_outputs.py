@@ -9,7 +9,8 @@ with its manifest from MANIFESTS; a command's stdout with its exit status,
 and its stderr, count as two more outputs.  Outputs are compared byte for
 byte, except that the `elapsed_s` line of a sweep sidecar, a wall time,
 is dropped from every JSON file.  Prints each output that differs or
-exists in one tree only, and exits 1 when there is one.
+exists in one tree only, with the first line where an output differs as
+each tree has it, cut to 120 characters, and exits 1 when there is one.
 """
 
 from __future__ import annotations
@@ -89,6 +90,10 @@ RUNS = {
     # linspace leaves -1.1e-16 at the middle node of N 99
     "solve-odd-center": ["solve", "--theta-minus", "0.55", "--theta-plus", "0.7",
                          "--gamma", "0.99", "--grid", "99", "--out", "out"],
+    # near a fair coin at gamma close to 1: 27 policy-iteration rounds, each
+    # solved by BiCGSTAB, so the greedy step runs many times
+    "solve-near-fair": ["solve", "--theta-minus", "0.5", "--theta-plus", "0.55",
+                        "--gamma", "0.9999", "--grid", "2001", "--out", "out"],
     "compare": ["compare", "--theta-minus", "0.5", "--theta-plus", "0.7",
                 "--gamma", "0.99", "--grid", "801", "--out", "out"],
     "compare-symmetric": ["compare", "--theta-minus", "0.7", "--theta-plus", "0.7",
@@ -134,6 +139,21 @@ def run_all(tree: Path, work: Path) -> dict:
     return outputs
 
 
+def first_difference(old: bytes, new: bytes, width: int = 120) -> tuple[int, str, str]:
+    """The number of the first line where old and new differ, and that
+    line of each, cut to `width` characters; "<end>" where one ends."""
+    a, b = old.split(b"\n"), new.split(b"\n")
+    i = next((i for i, (x, y) in enumerate(zip(a, b)) if x != y), min(len(a), len(b)))
+
+    def show(lines):
+        if i >= len(lines):
+            return "<end>"
+        text = lines[i].decode(errors="replace")
+        return text if len(text) <= width else text[:width - 3] + "..."
+
+    return i + 1, show(a), show(b)
+
+
 def main(argv: list[str]) -> int:
     if len(argv) not in (1, 2):
         print("usage: compare_outputs.py BASE_TREE [HEAD_TREE]", file=sys.stderr)
@@ -146,8 +166,11 @@ def main(argv: list[str]) -> int:
     keys = sorted(old.keys() | new.keys())
     differ = [k for k in keys if old.get(k) != new.get(k)]
     for k in differ:
-        where = "differs" if k in old and k in new else f"only in {'base' if k in old else 'head'}"
-        print(f"{where}: {k}")
+        if k in old and k in new:
+            line, was, now = first_difference(old[k], new[k])
+            print(f"differs: {k}\n  line {line} base: {was}\n  line {line} head: {now}")
+        else:
+            print(f"only in {'base' if k in old else 'head'}: {k}")
     print(f"{len(differ)} of {len(keys)} outputs differ between {base} and {head}")
     return 1 if differ else 0
 
