@@ -175,22 +175,21 @@ class _Stencil:
     """Per-(action, outcome) transition data for one problem/grid, and
     the Bellman backup, which applies it by the played-arm product.
 
-    For each (a, y) we store the predictive probability at every node, the
-    lower interpolation index of the updated belief, and the fractional
-    weight toward the upper neighbor.  Nodes with zero predictive
-    probability keep a self-map; the zero weight makes the entry inert.
+    Row 2*(a == +1) + y of the (4, n) arrays p, j and t holds, for arm a
+    and outcome y, the predictive probability at every node, the lower
+    interpolation index of the updated belief and the fractional weight
+    toward the upper neighbor; a node of zero p keeps an inert self-map.
     """
 
     def __init__(self, prob: DiscountedProblem, grid: BeliefGrid):
         self.prob = prob
         self.grid = grid
-        self.p, self.j, self.t = {}, {}, {}
-        for a in (-1, 1):
-            for y in (0, 1):
-                self.p[(a, y)], bp = posterior(prob.spec, grid.nodes, a, y)
-                self.j[(a, y)], self.t[(a, y)] = grid.locate(bp)
+        self.p, self.j, self.t = (np.empty((4, grid.n_points), d) for d in (float, np.intp, float))
+        for row, (a, y) in enumerate([(-1, 0), (-1, 1), (1, 0), (1, 1)]):
+            self.p[row], bp = posterior(prob.spec, grid.nodes, a, y)
+            self.j[row], self.t[row] = grid.locate(bp)
         # the expected reward of arm a is its predictive probability of y = 1
-        self.r = {a: self.p[(a, 1)] for a in (-1, 1)}
+        self.r = {-1: self.p[1], 1: self.p[3]}
 
     @cached_property
     def arm_systems(self):
@@ -236,24 +235,20 @@ class _Stencil:
         entries after them, so each row sums arm -1 before arm +1,
         outcome 0 before 1 and the lower neighbour before the upper; an
         entry left out carries an exact zero weight."""
-        def weights(w, p, t):
-            wp = w * p
-            return [wp * (1.0 - t), wp * t]
+        def entries(w, p, j, t):
+            cols, data = np.repeat(j, 2, axis=0), np.repeat(w * p, 2, axis=0)
+            cols[1::2] += 1
+            data[::2] *= 1.0 - t
+            data[1::2] *= t
+            return cols, data
 
         plus = qdist == 1.0
         mixed = np.flatnonzero((qdist > 0.0) & (qdist < 1.0))
-        lead = np.where(plus, qdist, 1.0 - qdist)
-        data, extra, cols, extra_cols = [], [], [], []
-        for y in (0, 1):
-            data += weights(lead, np.where(plus, self.p[(1, y)], self.p[(-1, y)]),
-                            np.where(plus, self.t[(1, y)], self.t[(-1, y)]))
-            extra += weights(qdist[mixed], self.p[(1, y)][mixed], self.t[(1, y)][mixed])
-            jj = np.where(plus, self.j[(1, y)], self.j[(-1, y)])
-            jm = self.j[(1, y)][mixed]
-            cols += [jj, jj + 1]
-            extra_cols += [jm, jm + 1]
-        return _PolicySystem(np.stack(cols), np.stack(data), mixed, np.stack(extra_cols),
-                             np.stack(extra), [self.prob.gamma])
+        tables = (self.p, self.j, self.t)
+        cols, data = entries(np.where(plus, qdist, 1.0 - qdist),
+                             *(np.where(plus, x[2:], x[:2]) for x in tables))
+        extra_cols, extra = entries(qdist[mixed], *(x[2:].take(mixed, axis=1) for x in tables))
+        return _PolicySystem(cols, data, mixed, extra_cols, extra, [self.prob.gamma])
 
 
 @lru_cache(maxsize=1)
@@ -262,9 +257,8 @@ def _stencil(prob, grid):
     solves, evaluates and certifies on one problem and grid, so the last
     (prob, grid) is kept."""
     st = _Stencil(prob, grid)
-    for table in (st.p, st.j, st.t):
-        for arr in table.values():
-            arr.flags.writeable = False
+    for arr in (st.p, st.j, st.t, *st.r.values()):
+        arr.flags.writeable = False
     return st
 
 

@@ -538,9 +538,9 @@ POLICY_KINDS = {
 
 def eight_entry_cols(st):
     """Columns of the full stencil, shape (8, n): the lower and the upper
-    interpolation node over both arms and both outcomes, in that order."""
-    return np.stack([jj for a in (-1, 1) for y in (0, 1)
-                     for jj in (st.j[(a, y)], st.j[(a, y)] + 1)])
+    interpolation node over both arms and both outcomes, in that order.
+    Row 2*(a == +1) + y of the stencil's tables holds arm a, outcome y."""
+    return np.stack([jj for row in st.j for jj in (row, row + 1)])
 
 
 def eight_entry_data(st, q):
@@ -549,7 +549,8 @@ def eight_entry_data(st, q):
     data = []
     for a, w in ((-1, 1.0 - q), (1, q)):
         for y in (0, 1):
-            wp, t = w * st.p[(a, y)], st.t[(a, y)]
+            row = 2 * (a == 1) + y
+            wp, t = w * st.p[row], st.t[row]
             data += [wp * (1.0 - t), wp * t]
     return np.stack(data)
 
@@ -572,6 +573,9 @@ class TestPolicySystem:
         for v in (rng.normal(size=n), 1e3 * rng.normal(size=n), np.ones(n)):
             want = v - gamma * np.einsum("ij,ij->j", data, v[cols])
             assert np.array_equal(A @ v, want)
+        # strided entries slow every product, and take copies a read-only index
+        assert all(x.flags.c_contiguous for x in (A.cols, A.data, A.extra_cols, A.extra_data))
+        assert A.cols.flags.writeable and A.extra_cols.flags.writeable
         ref = np.zeros((n, n))
         np.add.at(ref, (np.tile(np.arange(n), 8), cols.ravel()), data.ravel())
         assert np.array_equal(A.transition().toarray(), ref)
@@ -996,7 +1000,7 @@ class TestSlowModes:
         prob = DiscountedProblem(BanditSpec(0.55, 0.7), 0.9)
         st = solver._stencil(prob, BeliefGrid(201))
         assert solver._stencil(prob, BeliefGrid(201)) is st
-        arrays = [*st.p.values(), *st.j.values(), *st.t.values()]
+        arrays = [st.p, st.j, st.t, *st.r.values()]
         assert not any(a.flags.writeable for a in arrays)
 
     def test_pure_arm_systems_are_built_on_first_backup_with_read_only_weights(self):
@@ -1015,15 +1019,17 @@ class TestSlowModes:
             assert s.cols.flags.writeable
 
     def test_stencil_holds_twelve_node_arrays(self):
-        # p, j and t of each (arm, outcome); r aliases p, and the policy
-        # system builds its columns from j instead of a cached copy
+        # p, j and t of each (arm, outcome), as the rows of three arrays;
+        # r views rows of p, so each array counts once by its base, and the
+        # policy system builds its columns from j instead of a cached copy
         n = 201
         st = solver._stencil(DiscountedProblem(BanditSpec(0.55, 0.7), 0.9), BeliefGrid(n))
         found = {}
         for attr in vars(st).values():
             for a in (attr.values() if isinstance(attr, dict) else [attr]):
                 if isinstance(a, np.ndarray):
-                    found[id(a)] = a
+                    base = a if a.base is None else a.base
+                    found[id(base)] = base
         assert sum(a.nbytes for a in found.values()) == 12 * 8 * n
 
 
