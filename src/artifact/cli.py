@@ -260,7 +260,7 @@ def cmd_sweep(args) -> int:
         print("  " + ",".join(result.columns))
         for row in result.rows:
             print("  " + ",".join(artio.fmt(x) for x in row))
-    for key in ("alpha_star", "fit_opt", "fit_ids0"):
+    for key in experiments._KINDS[manifest.kind][3]:
         if key in result.meta:
             print(f"  {key}: {json.dumps(result.meta[key], sort_keys=True)}")
     return 0

@@ -1,9 +1,9 @@
 """Parameter sweeps over the belief problem, emitting tabular artifacts.
 
-Four sweep kinds are supported: regret-versus-theta curves, regret
-scaling as gamma approaches one, relative-regret heatmaps over arm
-parameters, and a search over the ratio exponent alpha.  Sweeps are
-described by a JSON manifest.  Every kind runs its rows through one
+Four sweep kinds: regret-versus-theta curves, regret scaling as gamma
+approaches one, relative-regret heatmaps over arm parameters, and a
+search over the ratio exponent alpha.  A kind is one `_KINDS` row, and
+a JSON manifest names it.  Every kind runs its rows through one
 path, `_sweep`: a job is plain data (key, prob, alpha, extra), rows are
 independent jobs that a process pool may run concurrently, and the
 pipeline contains no randomness, so identical manifests produce
@@ -55,16 +55,28 @@ __all__ = [
 
 WORKERS_ENV = "ARTIFACT_WORKERS"
 
-# each kind's CSV columns, and how many values each list it reads takes
+# each sweep kind, declared once: its CSV columns, how many values each
+# list it reads takes, its run from a manifest with the settings grid, tol
+# and n_workers, and the meta keys `artifact sweep` prints.  A run looks its
+# sweep function up when called, so a rebound module name is the one run.
 _ONE, _SOME = "exactly one value", "at least one value"
 _KINDS = {
-    "curves": (("theta", "gamma", "max_regret"), {"theta_plus": _SOME, "gammas": _SOME}),
+    "curves": (("theta", "gamma", "max_regret"), {"theta_plus": _SOME, "gammas": _SOME},
+               lambda m, **s: max_regret_vs_theta(m.gammas, m.theta_plus, m.symmetric, **s), ()),
     "scaling": (("one_minus_gamma", "regret_opt", "regret_ids0"),
-                {"theta_minus": _ONE, "theta_plus": _ONE, "gammas": _SOME}),
+                {"theta_minus": _ONE, "theta_plus": _ONE, "gammas": _SOME},
+                lambda m, **s: regret_scaling_gamma(
+                    BanditSpec(m.theta_minus[0], m.theta_plus[0]), m.gammas, m.beta0, **s),
+                ("fit_opt", "fit_ids0")),
     "heatmap": (("theta_minus", "theta_plus", "delta_R"),
-                {"theta_minus": _SOME, "theta_plus": _SOME, "gammas": _ONE, "alphas": _ONE}),
+                {"theta_minus": _SOME, "theta_plus": _SOME, "gammas": _ONE, "alphas": _ONE},
+                lambda m, **s: delta_R_heatmap(
+                    m.theta_minus, m.theta_plus, m.gammas[0], m.alphas[0], **s), ()),
     "alpha": (("alpha", "delta_R"),
-              {"theta_minus": _ONE, "theta_plus": _ONE, "gammas": _ONE, "alphas": _SOME}),
+              {"theta_minus": _ONE, "theta_plus": _ONE, "gammas": _ONE, "alphas": _SOME},
+              lambda m, **s: optimal_alpha_search(
+                  m.theta_minus[0], m.theta_plus[0], m.gammas[0], m.alphas, **s),
+              ("alpha_star",)),
 }
 
 # a chunk stacks at most this many grid nodes in its lockstep solve: 8
@@ -329,6 +341,7 @@ def regret_scaling_gamma(
     """Optimal and IDS(0) regret at beta0 for each gamma, plus two-term
     logarithmic fits of both columns when the rows that survive hold at
     least three distinct gammas."""
+    beta0 = _check_beta(beta0)
     jobs = [((1.0 - g,), DiscountedProblem(spec, g), 0.0, (beta0,)) for g in map(float, gammas)]
     result = _sweep("scaling", _scaling_row, jobs, n_workers, int(grid), tol)
     if len({row[0] for row in result.rows}) >= 3:
@@ -348,7 +361,7 @@ def delta_R_heatmap(
     theta_minus_grid, theta_plus_grid, gamma, alpha, grid=801, tol=None, n_workers=None
 ) -> SweepResult:
     """Relative IDS regret gap on the cross product of the theta grids."""
-    gamma, alpha = float(gamma), float(alpha)
+    gamma, alpha = float(gamma), _check_alpha(float(alpha))
     jobs = [
         ((tm, tp), DiscountedProblem(BanditSpec(tm, tp), gamma), alpha, ())
         for tm in map(float, theta_minus_grid)
@@ -368,7 +381,7 @@ def optimal_alpha_search(
     the gap curve need not be monotone in alpha.
     """
     prob = DiscountedProblem(BanditSpec(float(theta_minus), float(theta_plus)), float(gamma))
-    jobs = [((a,), prob, a, ()) for a in map(float, alpha_grid)]
+    jobs = [((a,), prob, _check_alpha(a), ()) for a in map(float, alpha_grid)]
     result = _sweep("alpha", _gap_row, jobs, n_workers, int(grid), tol)
     if result.rows:
         best = min(result.rows, key=lambda r: (r[1], r[0]))
@@ -384,36 +397,7 @@ def run_manifest(manifest: SweepManifest, n_workers=None) -> dict:
     os.makedirs(manifest.out_dir, exist_ok=True)
     workers = resolve_workers(n_workers)
     settings = {"grid": manifest.grid, "tol": manifest.tol, "n_workers": workers}
-    if manifest.kind == "curves":
-        result = max_regret_vs_theta(
-            manifest.gammas,
-            manifest.theta_plus,
-            symmetric=manifest.symmetric,
-            **settings,
-        )
-    elif manifest.kind == "scaling":
-        result = regret_scaling_gamma(
-            BanditSpec(manifest.theta_minus[0], manifest.theta_plus[0]),
-            manifest.gammas,
-            beta0=manifest.beta0,
-            **settings,
-        )
-    elif manifest.kind == "heatmap":
-        result = delta_R_heatmap(
-            manifest.theta_minus,
-            manifest.theta_plus,
-            manifest.gammas[0],
-            manifest.alphas[0],
-            **settings,
-        )
-    else:
-        result = optimal_alpha_search(
-            manifest.theta_minus[0],
-            manifest.theta_plus[0],
-            manifest.gammas[0],
-            manifest.alphas,
-            **settings,
-        )
+    result = _KINDS[manifest.kind][2](manifest, **settings)
     stem = f"{manifest.kind}_{manifest.digest()}"
     csv_path = os.path.join(manifest.out_dir, stem + ".csv")
     json_path = os.path.join(manifest.out_dir, stem + ".json")

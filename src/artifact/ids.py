@@ -83,6 +83,7 @@ class IdsConfig:
 def _check_alpha(alpha):
     if not 0.0 <= alpha <= 1.0:
         raise ValueError(f"alpha must lie in [0, 1], got {alpha}")
+    return alpha
 
 
 def _check_gamma(gamma):

@@ -443,6 +443,7 @@ class TestSweep:
         assert proc.returncode == 0
         assert "sweep curves: 2 rows, 0 failed" in proc.stdout
         assert "theta,gamma,max_regret" in proc.stdout
+        assert "fit_opt:" not in proc.stdout and "fit_ids0:" not in proc.stdout
         written = list(tmp_path.glob("curves_*.csv"))
         assert len(written) == 1
         assert written[0].with_suffix(".json").exists()
@@ -463,6 +464,23 @@ class TestSweep:
         rc = cli.main(["sweep", str(path)])
         assert rc == 0
         assert "alpha_star: 0.0" in capsys.readouterr().out
+
+    def test_scaling_fits_reach_stdout_in_order(self, tmp_path, capsys):
+        path = self.write_manifest(
+            tmp_path,
+            {
+                "kind": "scaling",
+                "theta_minus": [0.5],
+                "theta_plus": [0.7],
+                "gammas": [0.9, 0.95, 0.99],
+                "grid": 201,
+                "out_dir": str(tmp_path),
+            },
+        )
+        assert cli.main(["sweep", str(path)]) == 0
+        meta = [line.split(":")[0].strip() for line in capsys.readouterr().out.splitlines()
+                if line.startswith("  fit_")]
+        assert meta == ["fit_opt", "fit_ids0"]
 
     def test_invalid_json_exits_2(self, tmp_path):
         path = tmp_path / "broken.json"

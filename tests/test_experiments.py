@@ -441,6 +441,26 @@ class TestAlphaSearch:
         assert "alpha_star" not in r.meta
 
 
+class TestValuesCheckedBeforeAnySolve:
+    """A bad alpha or beta0 is refused while the jobs are built, by the rule
+    that checks a manifest's value, before any optimal solve."""
+
+    @pytest.mark.parametrize("sweep, args, kwargs, message", [
+        (delta_R_heatmap, ([0.6], [0.7], 0.9, 1.5), {}, "alpha must lie in"),
+        (optimal_alpha_search, (0.55, 0.7, 0.9, [0.5, 2.0]), {}, "alpha must lie in"),
+        (regret_scaling_gamma, (BanditSpec(0.5, 0.55), [0.9, 0.95, 0.99]), {"beta0": 1.5},
+         "beta must lie in"),
+    ])
+    def test_bad_value_raises_with_no_solve(self, monkeypatch, sweep, args, kwargs, message):
+        calls = []
+        real = exp._optimal_solve
+        monkeypatch.setattr(exp, "_optimal_solve",
+                            lambda *a: calls.append(a) or real(*a))
+        with pytest.raises(ValueError, match=message):
+            sweep(*args, grid=101, **kwargs)
+        assert calls == []
+
+
 class TestRunManifest:
     def test_writes_named_artifacts(self, tmp_path):
         m = make_manifest(out_dir=str(tmp_path))
@@ -482,13 +502,30 @@ class TestRunManifest:
         b2 = Path(run_manifest(pooled, n_workers=2)["csv"]).read_bytes()
         assert b1 == b2
 
-    def test_dispatches_all_kinds(self, tmp_path):
-        for raw in KIND_MANIFESTS.values():
+    SWEEPS = {"curves": "max_regret_vs_theta", "scaling": "regret_scaling_gamma",
+              "heatmap": "delta_R_heatmap", "alpha": "optimal_alpha_search"}
+
+    def test_dispatches_all_kinds(self, tmp_path, monkeypatch):
+        # a kind's run looks its sweep function up on the module when called,
+        # so a name rebound there, as the benchmark's tracer does, is the one run
+        calls = []
+
+        def spy(name, real):
+            def run(*args, **kwargs):
+                calls.append((name, real(*args, **kwargs)))
+                return calls[-1][1]
+            return run
+
+        for name in self.SWEEPS.values():
+            monkeypatch.setattr(exp, name, spy(name, getattr(exp, name)))
+        for kind, raw in KIND_MANIFESTS.items():
+            calls.clear()
             raw = {**raw, "grid": 201, "out_dir": str(tmp_path)}
             out = run_manifest(SweepManifest.from_dict(raw))
+            assert calls == [(self.SWEEPS[kind], out["result"])]
             assert Path(out["csv"]).exists()
             assert Path(out["json"]).exists()
-            assert out["result"].rows
+            assert out["result"].kind == kind and out["result"].rows
 
     # per kind: which optimal solves fail, the keys of the rows they fail
     # and how many rows survive

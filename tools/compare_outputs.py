@@ -76,6 +76,9 @@ RUNS = {
                            "--gamma", "0.9999", "--out", "out"],
     "solve-json": ["solve", "--theta-minus", "0.55", "--theta-plus", "0.7",
                    "--gamma", "0.99", "--format", "json", "--out", "out"],
+    # ids's JSON writer: ids_solution.json and no CSVs
+    "ids-json": ["ids", "--theta-minus", "0.55", "--theta-plus", "0.7", "--gamma", "0.99",
+                 "--alpha", "0.5", "--grid", "401", "--format", "json", "--out", "out"],
     "ids-fine-grid": ["ids", "--theta-minus", "0.55", "--theta-plus", "0.7", "--gamma", "0.99",
                       "--alpha", "0.5", "--grid", "20001", "--out", "out"],
     # the grid tables' block edges: N 1025 leaves one row in the last
