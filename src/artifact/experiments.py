@@ -11,9 +11,9 @@ byte-identical CSV files whatever the worker count.  Each worker runs
 its rows in chunks of three phases: every row's optimal value, from the
 one owner solver._optimal_solve, and IDS policy; one lockstep BiCGSTAB
 evaluation of the chunk's IDS policies, which leaves every row's
-iterates as a solve of its own would; then every row by its kind's row
-function.  A row whose solve raises a solver error is recorded as a
-failure rather than aborting the sweep.
+iterates as a solve of its own would; then every row from the regret
+curves of its values, by its kind's row function.  A failed solve is
+recorded as its row's failure rather than aborting the sweep.
 """
 
 from __future__ import annotations
@@ -38,7 +38,6 @@ from .solver import (
     _optimal_solve,
     _policy_equation,
     _resolve_tol,
-    mdp_value,
     regret_curve,
 )
 
@@ -226,23 +225,20 @@ def resolve_workers(n_workers=None) -> int:
     return 1
 
 
-def _curve_row(prob, vopt, symmetric):
+def _curve_row(r_opt, symmetric):
     """The maximum optimal regret, or the regret at beta = 0."""
-    r = regret_curve(prob, vopt)
-    return (float(np.max(r.values)) if symmetric else r(0.0),)
+    return (float(np.max(r_opt.values)) if symmetric else r_opt(0.0),)
 
 
-def _scaling_row(prob, vopt, vids, beta0):
+def _scaling_row(r_opt, r_ids, beta0):
     """Optimal and IDS(0) regret at beta0."""
-    v_mdp = mdp_value(prob, beta0)
-    return float(v_mdp - vopt(beta0)), float(v_mdp - vids(beta0))
+    return r_opt(beta0), r_ids(beta0)
 
 
-def _gap_row(prob, vopt, vids):
+def _gap_row(r_opt, r_ids):
     """Max relative excess of the IDS(alpha) regret over the optimal
     regret, taken over beliefs whose optimal regret clears the floor."""
-    r_opt = regret_curve(prob, vopt).values
-    r_ids = regret_curve(prob, vids).values
+    r_opt, r_ids = r_opt.values, r_ids.values
     mask = r_opt > max(1e-6, 1e-4 * float(np.max(r_opt)))
     if not np.any(mask):
         return (0.0,)
@@ -259,10 +255,10 @@ def _run_chunk(chunk):
     solver._optimal_solve value and, unless alpha is None, its IDS(alpha)
     policy; one lockstep evaluation of those policies
     (solver._certified_solves), warm-started from the optimal values; then
-    each row, the key followed by row(prob, vopt, *extra), or row(prob,
-    vopt, vids, *extra) with an alpha.  A BanditError of the first phase,
-    or the IterationLimit of a missed evaluation, becomes its row's failure
-    record."""
+    each row, the key followed by row(r_opt, *extra), or row(r_opt, r_ids,
+    *extra) with an alpha, where each r is the regret_curve of a value.  A
+    BanditError of the first phase, or the IterationLimit of a missed
+    evaluation, becomes its row's failure record."""
     row, n, tol, jobs = chunk
     grid = BeliefGrid(n)
     solved, equations = [], []
@@ -280,7 +276,8 @@ def _run_chunk(chunk):
     for (key, prob, alpha, extra), vopt in zip(jobs, solved):
         args = [vopt] if alpha is None or isinstance(vopt, BanditError) else [vopt, next(values)]
         failed = next((a for a in args if isinstance(a, BanditError)), None)
-        rows.append(key + row(prob, *args, *extra) if failed is None else _failure(key, failed))
+        rows.append(key + row(*(regret_curve(prob, v) for v in args), *extra)
+                    if failed is None else _failure(key, failed))
     return rows
 
 

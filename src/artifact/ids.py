@@ -40,8 +40,8 @@ from .solver import (
     ValueFunction,
     _myopic_q,
     _stencil,
-    mdp_value,
     policy_evaluation,
+    regret_curve,
 )
 
 __all__ = [
@@ -268,7 +268,7 @@ def ratio_table(prob: DiscountedProblem, policy: PolicyTable, alpha: float):
 
 def scaled_log_sup_ratio(prob: DiscountedProblem, policy: PolicyTable, alpha: float) -> float:
     """alpha * log sup_info_ratio, and log sup_info_ratio at alpha = 0;
-    finite wherever the pointwise ratios are, at every alpha."""
+    finite where the sup ratio overflows, and -inf where it is 0."""
     _check_alpha(alpha)
     _, d, i = _policy_mixture(prob, policy)
     skip = (i < DEFAULT_INFO_FLOOR) & (d < DEFAULT_INFO_FLOOR)
@@ -322,7 +322,7 @@ def regret_bound(
             bound = np.exp(s - alpha * math.log(1.0 - prob.gamma) + log_h)
     if value is None:
         value = policy_evaluation(prob, policy)
-    measured = mdp_value(prob, beta0) - value(beta0)
+    measured = regret_curve(prob, value)(beta0)
     if np.isinf(bound):
         return float(bound), True
     holds = measured <= bound + 1e-6 * max(1.0, bound)

@@ -522,13 +522,13 @@ def _solve_policy(equations, tol, krylov=True):
     default_tolerance(gamma)); otherwise LU solves that system alone,
     counted as one iteration.
 
-    BiCGSTAB starts exact on the two slowest modes.  Linear functions of
-    beta are eigenvectors of A with eigenvalue 1 - gamma: rows of M sum
-    to 1, interpolation keeps linear functions and the belief is a
-    martingale.  Rows 0 and n-1 of M are unit rows (certainty absorbs),
-    so the vectors that vanish at both ends form an invariant complement.
-    The start linear(per_node)/(1-gamma), plus x0 - linear(x0) when x0 is
-    given, leaves a residual in that complement, which deflates both
+    BiCGSTAB starts exact on the two slowest modes.  Linear functions of beta
+    are eigenvectors of A with eigenvalue 1 - gamma: rows of M sum to 1,
+    interpolation keeps linear functions and the belief is a martingale.  Row
+    0 of M is a unit row (certainty absorbs), row n-1 one up to locate(1.0)'s
+    rounding (2e-14 at N 801), so the vectors that vanish at both ends form a
+    complement invariant up to it.  The start linear(per_node)/(1-gamma), plus
+    x0 - linear(x0) given x0, leaves a residual in it, which deflates both
     modes (Saad, Iterative Methods for Sparse Linear Systems, 2003).
     """
     if not equations:

@@ -296,6 +296,32 @@ class TestIds:
             0.5 * math.log(doc["sup_ratio"]), rel=1e-12
         )
 
+    def test_regret_free_policy_writes_a_null_scaled_log_sup_ratio(self, tmp_path):
+        # on two fair coins no node has regret: the sup ratio is 0, and its
+        # log, -inf, is written as null
+        rc = cli.main(
+            [
+                "ids",
+                "--theta-minus", "0.5", "--theta-plus", "0.5",
+                "--gamma", "0.99", "--alpha", "0.5", "--grid", "101",
+                "--out", str(tmp_path),
+            ]
+        )
+        assert rc == 0
+        assert json.loads((tmp_path / "ids_summary.json").read_text()) == {
+            "alpha": 0.5,
+            "bound_at_zero": 0.0,
+            "bound_holds": True,
+            "boundary": None,
+            "gamma": 0.99,
+            "grid_points": 101,
+            "regret_at_zero": 0.0,
+            "scaled_log_sup_ratio": None,
+            "sup_ratio": 0.0,
+            "theta_minus": 0.5,
+            "theta_plus": 0.5,
+        }
+
     def test_json_writer_rejects_non_finite(self, tmp_path):
         with pytest.raises(ValueError):
             artio.write_json_doc(tmp_path / "x.json", {"x": float("inf")})

@@ -1,13 +1,17 @@
-"""tools/compare_outputs.py, the byte gate between two checkouts: how it
-reports the first differing line, and the one line of a sidecar it drops."""
+"""tools/compare_outputs.py, the byte gate between two checkouts: what it
+runs, how it reports the first differing line, and the one line of a
+sidecar it drops."""
 
 from __future__ import annotations
 
+import argparse
 import importlib.util
 import json
 from pathlib import Path
 
 import pytest
+
+from artifact import cli, experiments
 
 TOOL = Path(__file__).resolve().parents[1] / "tools" / "compare_outputs.py"
 
@@ -44,3 +48,15 @@ class TestElapsed:
         kept = tool.ELAPSED.sub(b"", sidecar.encode())
         assert kept == (json.dumps(meta, sort_keys=True, indent=2) + "\n").encode()
         assert json.loads(kept) == meta
+
+
+class TestCoverage:
+    # a subcommand or a sweep kind the gate never runs could change its
+    # outputs unseen
+    def test_runs_use_every_subcommand(self, tool):
+        sub = next(a for a in cli.build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        assert {args[0] for args in tool.RUNS.values()} == set(sub.choices)
+
+    def test_manifests_cover_every_sweep_kind(self, tool):
+        assert {m["kind"] for m in tool.MANIFESTS.values()} == set(experiments._KINDS)

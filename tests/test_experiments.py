@@ -20,12 +20,15 @@ from artifact.experiments import (
     resolve_workers,
     run_manifest,
 )
+from artifact.ids import IdsConfig, ids_policy_on_grid
 from artifact.solver import (
     BeliefGrid,
     DiscountedProblem,
     default_tolerance,
     mdp_value,
+    policy_evaluation,
     policy_iteration,
+    regret_curve,
 )
 
 
@@ -371,6 +374,21 @@ class TestScaling:
         r = regret_scaling_gamma(BanditSpec(0.5, 0.55), (0.9, 0.9, 0.9), grid=201)
         assert len(r.rows) == 3
         assert "fit_opt" not in r.meta and "fit_ids0" not in r.meta
+
+    def test_rows_read_the_regret_curves_between_nodes(self):
+        # 0.123 lies between nodes of N 201, where the interpolated regret
+        # curve and V_mdp(beta0) - v(beta0) part in their last bits
+        grid, beta0 = BeliefGrid(201), 0.123
+        r = regret_scaling_gamma(BanditSpec(0.5, 0.7), (0.9, 0.99), beta0=beta0, grid=201)
+        assert not r.failures and len(r.rows) == 2
+        for (key, r_opt, r_ids), gamma in zip(r.rows, (0.99, 0.9)):
+            prob = DiscountedProblem(BanditSpec(0.5, 0.7), gamma)
+            vopt = solver._optimal_solve(prob, grid, None)[0]
+            policy = ids_policy_on_grid(prob, grid, IdsConfig(alpha=0.0, gamma=gamma))
+            vids = policy_evaluation(prob, policy, x0=vopt)
+            assert key == 1.0 - gamma
+            assert r_opt == regret_curve(prob, vopt)(beta0)
+            assert r_ids == regret_curve(prob, vids)(beta0)
 
 
 class TestHeatmap:

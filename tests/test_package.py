@@ -56,11 +56,10 @@ def test_each_library_rule_is_stated_once():
         assert source.count(text) == 1, text
 
 
-def test_the_certified_optimum_has_one_owner():
-    # policy iteration and its certificate run together in one function,
-    # which the CLI and the sweeps call; a second caller would be free to
-    # drop the certificate or the cache rules
-    callers = {"policy_iteration": set(), "certify_optimal": set()}
+def callers_of(*names):
+    """Per name, the functions of the package that call it, as
+    module.function, with nested functions joined by dots."""
+    callers = {name: set() for name in names}
 
     class Visitor(ast.NodeVisitor):
         def __init__(self, module):
@@ -79,8 +78,22 @@ def test_the_certified_optimum_has_one_owner():
 
     for path in Path(artifact.__file__).parent.glob("*.py"):
         Visitor(path.stem).visit(ast.parse(path.read_text()))
-    for name, found in callers.items():
+    return callers
+
+
+def test_the_certified_optimum_has_one_owner():
+    # policy iteration and its certificate run together in one function,
+    # which the CLI and the sweeps call; a second caller would be free to
+    # drop the certificate or the cache rules
+    for name, found in callers_of("policy_iteration", "certify_optimal").items():
         assert len(found) == 1, (name, sorted(found))
+
+
+def test_the_regret_has_one_owner():
+    # V_mdp - v is formed in regret_curve alone, which the CLI, the sweep
+    # rows and regret_bound read; a second formula would be free to round
+    # differently between nodes
+    assert callers_of("mdp_value") == {"mdp_value": {"solver.regret_curve"}}
 
 
 def run_fresh(code):

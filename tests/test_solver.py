@@ -928,8 +928,11 @@ SLOW_MODE_SPECS = [(0.55, 0.7), (0.7, 0.7), (0.5, 0.55), (0.5, 0.5), (0.0, 1.0),
 
 class TestSlowModes:
     """The two modes BiCGSTAB starts exact on: linear functions of beta
-    are eigenvectors of A = I - gamma*M with eigenvalue 1 - gamma, and
-    rows 0 and n-1 of M are unit rows."""
+    are eigenvectors of A = I - gamma*M with eigenvalue 1 - gamma, and row
+    0 of M is a unit row.  Row n-1 is one only where BeliefGrid.locate(1.0)
+    gives t = 1 exactly, as on N 201.  It gives 1 - 2.1e-14 on N 401 and
+    801 and 1 - 1.1e-13 on N 2001 and 20001, and M[n-1, n-2] holds the
+    difference."""
 
     @pytest.mark.parametrize("gamma", [0.0, 0.9, 0.9999])
     @pytest.mark.parametrize("tm, tp", SLOW_MODE_SPECS)

@@ -27,12 +27,17 @@ ALPHAS = [0.0, 0.001, 0.01, 0.05, 0.075] + [round(0.1 + 0.05 * k, 2) for k in ra
 # each sweep run's manifest, writing to out/: the benchmark's alpha-sweep
 # (benchmarks/run.py), and again with a tol that no optimal solve meets,
 # so every row is a failure record; one sweep of every other kind and of
-# the fair-coin curves at 401 nodes, a heatmap whose thetas reach 1/2, the
-# heatmap again on a pool of WORKERS, and two manifests that exit 2: one
-# on its even grid, one on a scaling sweep with two theta_plus values
+# the fair-coin curves at 401 nodes, the scaling sweep again at a beta0
+# between nodes, a heatmap whose thetas reach 1/2, the heatmap again on a
+# pool of WORKERS, and two manifests that exit 2: one on its even grid,
+# one on a scaling sweep with two theta_plus values
 ALPHA_SWEEP = {
     "kind": "alpha", "theta_minus": [0.55], "theta_plus": [0.7],
     "gammas": [0.99], "alphas": ALPHAS, "grid": 801, "out_dir": "out",
+}
+SCALING_SWEEP = {
+    "kind": "scaling", "theta_minus": [0.5], "theta_plus": [0.7],
+    "gammas": [0.9, 0.99, 0.999], "grid": 401, "out_dir": "out",
 }
 HEATMAP_SWEEP = {
     "kind": "heatmap", "theta_minus": [0.6, 0.7], "theta_plus": [0.6, 0.7, 0.8],
@@ -49,10 +54,9 @@ MANIFESTS = {
         "kind": "curves", "theta_plus": [0.6, 0.7, 0.8], "gammas": [0.9, 0.99],
         "symmetric": False, "grid": 401, "out_dir": "out",
     },
-    "scaling-sweep": {
-        "kind": "scaling", "theta_minus": [0.5], "theta_plus": [0.7],
-        "gammas": [0.9, 0.99, 0.999], "grid": 401, "out_dir": "out",
-    },
+    "scaling-sweep": SCALING_SWEEP,
+    # the one sweep whose regrets are read between nodes, by interpolation
+    "scaling-sweep-between-nodes": {**SCALING_SWEEP, "beta0": 0.123},
     "heatmap-sweep": HEATMAP_SWEEP,
     "heatmap-sweep-pooled": HEATMAP_SWEEP,
     "heatmap-fair-sweep": {
