@@ -410,43 +410,41 @@ def _bicgstab(A, b, x0=None, *, rtol, maxiter):
     own systems.  A needs only `A @ x` on a (k, n) stack and `A[rows]`,
     the stack of the systems numbered in rows.
 
-    Row i stops when ||b_i - A_i x_i||_2 < rtol*||b_i||_2.  Returns (x,
-    info, iterations), one entry per row: info is 0 on convergence,
-    maxiter when the iterations ran out, and -10 or -11 on a rho or omega
-    breakdown; iterations counts the completed iterations, not a last
-    half step.
+    Row i stops when ||b_i - A_i x_i||_2 < rtol*||b_i||_2; a zero b_i,
+    as in scipy, returns the zero solution at iteration 0 whatever x0.
+    Returns (x, info, iterations), one entry per row: info is 0 on
+    convergence, maxiter when the iterations ran out, and -10 or -11 on a
+    rho or omega breakdown; iterations counts the completed iterations,
+    not a last half step.
     """
     out = np.zeros_like(b) if x0 is None else np.array(x0, dtype=float)
     info, iterations = np.full(len(b), maxiter), np.full(len(b), maxiter)
     bnrm2 = np.sqrt(_dots(b, b))
-    zero = bnrm2 == 0.0
-    out[zero], info[zero], iterations[zero] = 0.0, 0, 0
-    live = np.flatnonzero(~zero)
-    if not len(live):
-        return out, info, iterations
+    # the zero solution meets any tolerance: a zero b retires at once
+    out[bnrm2 == 0.0] = 0.0
+    live = np.arange(len(b))
     # x is the iterate of the running rows: `out` itself until a row
-    # retires beside others, a compacted copy after that
+    # retires, a compacted copy after that
     x = out
-    if zero.any():
-        A, b, x = A[live], b[live], out[live]
     # per-row scalars are lists of floats, which cost less than arrays of
     # a few entries and round alike; they scale the rows as _column
-    atol = (rtol * bnrm2[live]).tolist()
+    atol = [rtol * n if n else math.inf for n in bnrm2.tolist()]
     # eps**2 for both breakdown tests, as in scipy and its Fortran source
     breakdown = np.finfo(float).eps ** 2
     r = b - A @ x if x.any() else b.copy()
     rtilde = r.copy()
     p = v = None
     # no omega can break a row down in its first iteration
-    rho_prev = alpha = omega = [1.0] * len(live)
+    rho_prev = alpha = omega = [1.0] * len(b)
 
     def retire(codes, k, vectors, scalars):
         """Write each row with a code to the result, its info that code,
         and return the systems, indices, vectors and scalars of the
         others."""
         done = np.array([c is not None for c in codes])
-        if x is not out:
-            out[live[done]] = x[done]
+        # row by row: a row of `out` assigned to itself copies nothing
+        for i in np.flatnonzero(done):
+            out[live[i]] = x[i]
         info[live[done]] = [c for c in codes if c is not None]
         iterations[live[done]] = k
         keep = np.flatnonzero(~done)
@@ -499,8 +497,7 @@ def _bicgstab(A, b, x0=None, *, rtol, maxiter):
         r -= omega_col * t
         rho_prev = rho
     else:
-        if x is not out:
-            out[live] = x
+        retire([maxiter] * len(live), maxiter, (), ())
     return out, info, iterations
 
 

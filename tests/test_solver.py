@@ -725,7 +725,8 @@ class TestSolveKernel:
         v = policy_evaluation(prob, pol).values
         (call,) = calls
         assert call["info"] != 0
-        assert np.array_equal(v, self.lu_only(monkeypatch, lambda: policy_evaluation(prob, pol)).values)
+        lu = self.lu_only(monkeypatch, lambda: policy_evaluation(prob, pol))
+        assert np.array_equal(v, lu.values)
         cert = np.max(np.abs(call["b"] - call["A"] @ v)) / (1.0 - prob.gamma)
         assert cert <= default_tolerance(prob.gamma)
 
@@ -856,6 +857,23 @@ class TestLockstep:
             assert (info[i], iterations[i]) == (fi, ki)
         assert info[3] == iterations[3] == 0 and not x[3].any()
 
+    def test_a_zero_right_side_ignores_its_warm_start(self):
+        # every row starts warm; the zero row still returns exactly zero at
+        # iteration 0, and the others each equal their own warm solve
+        eqs = self.equations([(0.55, 0.7, 0.99, 0.5), (0.55, 0.7, 0.9, 0.0),
+                              (0.3, 0.9, 0.99, 0.25)], 201)
+        A = solver._PolicySystem.stack([st.policy_system(q) for st, q, _, _ in eqs])
+        b = np.stack([r for _, _, r, _ in eqs])
+        b[1] = 0.0
+        x0 = np.random.default_rng(1).normal(size=b.shape)
+        kw = {"rtol": solver._KRYLOV_RTOL, "maxiter": solver._KRYLOV_MAXITER}
+        x, info, iterations = solver._bicgstab(A, b, x0=x0, **kw)
+        assert info[1] == iterations[1] == 0 and not x[1].any()
+        for i in (0, 2):
+            (xi,), (fi,), (ki,) = solver._bicgstab(A[[i]], b[i][None], x0=x0[i][None], **kw)
+            assert np.array_equal(x[i], xi)
+            assert (info[i], iterations[i]) == (fi, ki) and ki > 0
+
     class PerRow:
         """A stack of small dense systems, one matrix per row, with the
         two operations _bicgstab needs: `@` on a (k, n) stack and [rows]."""
@@ -884,6 +902,38 @@ class TestLockstep:
             (xi,), (fi,), (ki,) = solver._bicgstab(A[[i]], b[i][None], **kw)
             assert np.array_equal(x[i], xi)
             assert (info[i], iterations[i]) == (fi, ki)
+
+    def test_an_all_zero_stack_applies_no_product(self, monkeypatch):
+        # every row retires at the first test from the zero solution, even
+        # from a warm start, without a product of A
+        calls = []
+        matmul = self.PerRow.__matmul__
+        monkeypatch.setattr(self.PerRow, "__matmul__",
+                            lambda A, x: calls.append(len(x)) or matmul(A, x))
+        A = self.PerRow([[[2.0, 0.0], [0.0, 3.0]], [[1.0, 1.0], [0.0, 2.0]]])
+        kw = {"rtol": solver._KRYLOV_RTOL, "maxiter": solver._KRYLOV_MAXITER}
+        for x0 in (None, np.ones((2, 2))):
+            x, info, iterations = solver._bicgstab(A, np.zeros((2, 2)), x0=x0, **kw)
+            assert not x.any()
+            assert info.tolist() == iterations.tolist() == [0, 0]
+        assert calls == []
+        # the counter sees the products of a nonzero stack
+        solver._bicgstab(A, np.ones((2, 2)), **kw)
+        assert calls
+
+    def test_rows_that_run_out_keep_their_last_iterate(self):
+        # the zero row retires at iteration 0, so the others run out of
+        # iterations in a compacted stack and are written back from it
+        mats = np.random.default_rng(3).normal(size=(3, 6, 6)) + 3.0 * np.eye(6)
+        A = self.PerRow(mats)
+        b = np.random.default_rng(4).normal(size=(3, 6))
+        b[0] = 0.0
+        kw = {"rtol": solver._KRYLOV_RTOL, "maxiter": 2}
+        x, info, iterations = solver._bicgstab(A, b, **kw)
+        assert info.tolist() == [0, 2, 2] and iterations.tolist() == [0, 2, 2]
+        for i in (1, 2):
+            (xi,), _, _ = solver._bicgstab(A[[i]], b[i][None], **kw)
+            assert np.array_equal(x[i], xi) and xi.any()
 
     def test_a_missed_system_alone_falls_back_to_lu(self, monkeypatch):
         # (0.5, 0.7) at gamma 0.999 misses its certificate under BiCGSTAB
