@@ -507,17 +507,18 @@ def _linear_part(f, nodes):
     return f[..., :1] * (1.0 - nodes) / 2.0 + f[..., -1:] * (1.0 + nodes) / 2.0
 
 
-def _solve_policy(equations, tol, krylov=True):
+def _solve_policy(equations, tol):
     """Solve the policy equations (I - gamma*M_q) v = per_node of a list
     of (stencil, q, per_node, x0) of one grid size in lockstep, against
     tol, one bound per equation.
 
     Returns, per equation, (v, certificate, iterations, method); the
     certificate ||per_node - A v|| / (1-gamma) bounds ||v - v_q||
-    (Puterman 1994, ch. 6).  A BiCGSTAB iterate (krylov=False skips it)
+    (Puterman 1994, ch. 6).  Every equation tries BiCGSTAB, whose iterate
     is kept only when it converged and its certificate meets min(tol,
-    default_tolerance(gamma)); otherwise LU solves that system alone,
-    counted as one iteration.
+    default_tolerance(gamma)); otherwise LU re-solves that system alone
+    into the same stack, counted as one iteration.  Rows of either method
+    are certified in the stack, whose product is each system's own.
 
     BiCGSTAB starts exact on the two slowest modes.  Linear functions of beta
     are eigenvectors of A with eigenvalue 1 - gamma: rows of M sum to 1,
@@ -535,29 +536,25 @@ def _solve_policy(equations, tol, krylov=True):
     # a stack of one is a view, so a single solve copies nothing
     b = np.stack([per_node for _, _, per_node, _ in equations]) if len(equations) > 1 \
         else equations[0][2][None]
-    missed = np.ones(len(b), dtype=bool)
-    if krylov:
-        nodes = equations[0][0].grid.nodes
-        start = _linear_part(b, nodes) / (1.0 - gamma)[:, None]
-        for i, (_, _, _, x0) in enumerate(equations):
-            if x0 is not None:
-                start[i] += x0 - _linear_part(x0, nodes)
-        v, info, iterations = _bicgstab(A, b, x0=start, rtol=_KRYLOV_RTOL,
-                                        maxiter=_KRYLOV_MAXITER)
-        cert = np.max(np.abs(b - A @ v), axis=1) / (1.0 - gamma)
-        bound = np.minimum(tol, [default_tolerance(g) for g in gamma])
-        missed = (info != 0) | ~(cert <= bound)
-    solved = []
-    for i in range(len(b)):
-        if not missed[i]:
-            solved.append((v[i], float(cert[i]), int(iterations[i]), "BiCGSTAB"))
-            continue
-        # a missed row is solved and certified on its own system
-        Ai = A[[i]]
-        vi = Ai.lu_solve(b[i])
-        ci = float(np.max(np.abs(b[i] - Ai @ vi))) / (1.0 - gamma[i])
-        solved.append((vi, ci, 1, "LU after BiCGSTAB" if krylov else "LU"))
-    return solved
+    nodes = equations[0][0].grid.nodes
+    start = _linear_part(b, nodes) / (1.0 - gamma)[:, None]
+    for i, (_, _, _, x0) in enumerate(equations):
+        if x0 is not None:
+            start[i] += x0 - _linear_part(x0, nodes)
+    v, info, iterations = _bicgstab(A, b, x0=start, rtol=_KRYLOV_RTOL, maxiter=_KRYLOV_MAXITER)
+
+    def certificate():
+        return np.max(np.abs(b - A @ v), axis=1) / (1.0 - gamma)
+
+    cert = certificate()
+    missed = (info != 0) | ~(cert <= np.minimum(tol, [default_tolerance(g) for g in gamma]))
+    if missed.any():
+        for i in np.flatnonzero(missed):
+            v[i] = A[[i]].lu_solve(b[i])
+        iterations[missed] = 1
+        cert = certificate()
+    return [(v[i], float(cert[i]), int(iterations[i]),
+             "LU after BiCGSTAB" if missed[i] else "BiCGSTAB") for i in range(len(b))]
 
 
 def bellman_backup(v: ValueFunction, prob: DiscountedProblem) -> ValueFunction:
@@ -741,9 +738,9 @@ def policy_iteration(
     iteration when gamma is close to 1.  Near a fair coin the boundary
     ends far from the myopic start and moves one or two nodes per round,
     so the default budget is one round per grid node.  Evaluations use
-    the one certified solve of policy_evaluation, BiCGSTAB warm-started
-    from the previous round, and stay on LU after the first round that
-    falls back to it.
+    the one solve of policy_evaluation, BiCGSTAB warm-started from the
+    previous round, until a round falls back to LU; every later round
+    solves its system by LU directly.
 
     Returns (ValueFunction, PolicyTable, rounds).  The value is the grid
     optimum up to the error of the linear solves; certify_optimal bounds
@@ -754,11 +751,13 @@ def policy_iteration(
     st = _stencil(prob, grid)
     tol = default_tolerance(prob.gamma)
     qd = st.greedy(np.zeros(grid.n_points))
-    v, krylov = None, True
+    v, how = None, "BiCGSTAB"
     for k in range(1, max_rounds + 1):
-        ((v, _, _, how),) = _solve_policy([(st, qd, st.policy_reward(qd), v)], [tol], krylov)
         # the next policy differs in a few nodes, so a miss predicts a miss
-        krylov = how == "BiCGSTAB"
+        if how == "BiCGSTAB":
+            ((v, _, _, how),) = _solve_policy([(st, qd, st.policy_reward(qd), v)], [tol])
+        else:
+            v = st.policy_system(qd).lu_solve(st.policy_reward(qd))
         qd2 = st.greedy(v)
         if np.array_equal(qd2, qd):
             return ValueFunction(grid, v), PolicyTable(grid, qd), k

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from artifact import cli, experiments
+from artifact import cli, experiments, ids, solver
 
 TOOL = Path(__file__).resolve().parents[1] / "tools" / "compare_outputs.py"
 
@@ -60,3 +60,30 @@ class TestCoverage:
 
     def test_manifests_cover_every_sweep_kind(self, tool):
         assert {m["kind"] for m in tool.MANIFESTS.values()} == set(experiments._KINDS)
+
+    def test_lu_runs_stay_on_lu(self, tool, monkeypatch):
+        # the gate's two LU runs, solved in process: policy iteration solves
+        # a round by BiCGSTAB and stays on LU after a miss, and the IDS
+        # evaluation meets its certificate by LU; a solver change that
+        # stops either fallback fails here, not silently in the gate
+        methods = []
+        real = solver._solve_policy
+
+        def recorded(equations, tol):
+            solved = real(equations, tol)
+            methods.extend(how for _, _, _, how in solved)
+            return solved
+
+        monkeypatch.setattr(solver, "_solve_policy", recorded)
+        parser = cli.build_parser()
+        prob, grid, _, _ = cli._problem(parser.parse_args(tool.RUNS["solve-stays-on-lu"]))
+        _, _, rounds = solver.policy_iteration(prob, grid)
+        assert methods.count("BiCGSTAB") >= 1
+        assert rounds - methods.count("BiCGSTAB") >= 2
+        args = parser.parse_args(tool.RUNS["ids-lu-fallback"])
+        prob, grid, tol, _ = cli._problem(args)
+        config = ids.IdsConfig(alpha=args.alpha, gamma=prob.gamma)
+        policy = ids.ids_policy_on_grid(prob, grid, config)
+        methods.clear()
+        solver.policy_evaluation(prob, policy, tol=tol)
+        assert methods == ["LU after BiCGSTAB"]

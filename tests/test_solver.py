@@ -949,6 +949,10 @@ class TestLockstep:
             assert np.array_equal(v, alone[0])
             assert (cert, iterations, how) == alone[1:]
             assert cert <= tol
+            # a BiCGSTAB row and the LU row alike carry the certificate of
+            # their own system
+            st, q, b, _ = eq
+            assert cert == np.max(np.abs(b - st.policy_system(q) @ v)) / (1.0 - st.prob.gamma)
         lu = TestSolveKernel.lu_only(monkeypatch, lambda: solver._solve_policy(eqs[1:2], tols[1:2]))
         assert np.array_equal(stacked[1][0], lu[0][0])
 

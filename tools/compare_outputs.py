@@ -101,6 +101,13 @@ RUNS = {
     # solved by BiCGSTAB, so the greedy step runs many times
     "solve-near-fair": ["solve", "--theta-minus", "0.5", "--theta-plus", "0.55",
                         "--gamma", "0.9999", "--grid", "2001", "--out", "out"],
+    # the two LU paths: 57 policy-iteration rounds, of which round 2 misses
+    # BiCGSTAB and every later round stays on LU; and an IDS evaluation
+    # that misses BiCGSTAB and meets its certificate by LU
+    "solve-stays-on-lu": ["solve", "--theta-minus", "0.5", "--theta-plus", "0.51",
+                          "--gamma", "0.9999", "--grid", "2001", "--out", "out"],
+    "ids-lu-fallback": ["ids", "--theta-minus", "0.5", "--theta-plus", "0.7", "--gamma", "0.999",
+                        "--alpha", "0.5", "--grid", "2001", "--out", "out"],
     "compare": ["compare", "--theta-minus", "0.5", "--theta-plus", "0.7",
                 "--gamma", "0.99", "--grid", "801", "--out", "out"],
     "compare-symmetric": ["compare", "--theta-minus", "0.7", "--theta-plus", "0.7",
