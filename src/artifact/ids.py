@@ -323,8 +323,6 @@ def regret_bound(
     if value is None:
         value = policy_evaluation(prob, policy)
     measured = regret_curve(prob, value)(beta0)
-    if np.isinf(bound):
-        return float(bound), True
     holds = measured <= bound + 1e-6 * max(1.0, bound)
     return float(bound), bool(holds)
 

@@ -787,19 +787,19 @@ def certify_optimal(
 def _optimal_solve(prob, grid, tol):
     """The certified grid optimum (value, policy, rounds, bound):
     policy_iteration, then certify_optimal against tol; raises
-    IterationLimit when either fails.  The last (prob, grid, resolved
-    tol) is kept read-only, so the rows of an alpha sweep and a tol of
-    None or its default share one solve; a failure is not kept."""
-    return _certified_optimum(prob, grid, _resolve_tol(prob.gamma, tol))
+    IterationLimit when either fails.  Policy iteration never reads tol,
+    so the last (prob, grid) optimum is kept read-only and shared, and
+    each call certifies it against its own tol by one backup."""
+    v, policy, rounds = _policy_optimum(prob, grid)
+    return v, policy, rounds, certify_optimal(prob, v, tol)
 
 
 @lru_cache(maxsize=1)
-def _certified_optimum(prob, grid, tol):
+def _policy_optimum(prob, grid):
     v, policy, rounds = policy_iteration(prob, grid)
-    bound = certify_optimal(prob, v, tol)
     v.values.flags.writeable = False
     policy.q.flags.writeable = False
-    return v, policy, rounds, bound
+    return v, policy, rounds
 
 
 def policy_transition(prob: DiscountedProblem, policy: PolicyTable):

@@ -712,27 +712,51 @@ class TestRunJobs:
 
 
 class TestOptimalSolve:
+    @pytest.fixture
+    def pi_calls(self, monkeypatch):
+        # the policy_iteration calls behind _optimal_solve, from an empty cache
+        calls = []
+        real = solver.policy_iteration
+        monkeypatch.setattr(solver, "policy_iteration", lambda *a: calls.append(a) or real(*a))
+        solver._policy_optimum.cache_clear()
+        yield calls
+        solver._policy_optimum.cache_clear()
+
     def test_cached_value_is_shared_and_read_only(self):
         # the rows of an alpha sweep share this one solve, so no row may
         # change its value or its policy under the next
         prob = DiscountedProblem(BanditSpec(0.55, 0.7), 0.9)
-        solved = exp._optimal_solve(prob, BeliefGrid(201), None)
-        assert exp._optimal_solve(prob, BeliefGrid(201), None) is solved
-        v, policy, rounds, bound = solved
+        first = exp._optimal_solve(prob, BeliefGrid(201), None)
+        second = exp._optimal_solve(prob, BeliefGrid(201), None)
+        assert second[0] is first[0] and second[1] is first[1]
+        v, policy, rounds, bound = second
         assert rounds >= 1 and 0.0 <= bound <= default_tolerance(0.9)
         for arr in (v.values, policy.q):
             assert not arr.flags.writeable
             with pytest.raises(ValueError):
                 arr[0] = 0.0
 
-    def test_default_tol_shares_one_entry(self):
-        # tol is resolved before the lookup, so None and the default it
-        # stands for are one solve
+    def test_every_tol_shares_one_policy_iteration(self, pi_calls):
+        # policy iteration never reads tol, so the cache is keyed on
+        # (prob, grid) alone and each call certifies against its own tol
         prob, grid = DiscountedProblem(BanditSpec(0.55, 0.7), 0.9), BeliefGrid(201)
-        solver._certified_optimum.cache_clear()
-        for tol in (None, default_tolerance(0.9), None):
-            exp._optimal_solve(prob, grid, tol)
-        assert solver._certified_optimum.cache_info()[:2] == (2, 1)
+        exp._optimal_solve(prob, grid, None)
+        exp._optimal_solve(prob, grid, default_tolerance(0.9))
+        with pytest.raises(IterationLimit):
+            exp._optimal_solve(prob, grid, 1e-20)
+        exp._optimal_solve(prob, grid, None)
+        assert len(pi_calls) == 1
+        assert solver._policy_optimum.cache_info()[:2] == (3, 1)
+
+    def test_failed_certificate_runs_policy_iteration_once(self, pi_calls):
+        # a tol no certificate meets fails every row of the sweep, from the
+        # one optimum that all its rows share
+        r = optimal_alpha_search(0.55, 0.7, 0.9, (0.0, 0.5, 1.0), grid=201, tol=1e-20,
+                                 n_workers=1)
+        assert r.rows == []
+        assert [f["row"] for f in r.failures] == [[0.0], [0.5], [1.0]]
+        assert all("IterationLimit" in f["error"] for f in r.failures)
+        assert len(pi_calls) == 1
 
 
 class TestResolveWorkers:

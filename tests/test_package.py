@@ -84,9 +84,10 @@ def callers_of(*names):
 def test_the_certified_optimum_has_one_owner():
     # policy iteration and its certificate run together in one function,
     # which the CLI and the sweeps call; a second caller would be free to
-    # drop the certificate or the cache rules
+    # drop the certificate or read the cached optimum without it
     for name, found in callers_of("policy_iteration", "certify_optimal").items():
         assert len(found) == 1, (name, sorted(found))
+    assert callers_of("_policy_optimum") == {"_policy_optimum": {"solver._optimal_solve"}}
 
 
 def test_the_regret_has_one_owner():

@@ -525,6 +525,30 @@ class TestPolicyExtraction:
         np.testing.assert_allclose(np.asarray(m.sum(axis=1)).ravel(), 1.0, atol=1e-12)
 
 
+class TestArmSwap:
+    """Relabelling the arms maps spec (theta_-, theta_+) at beta to
+    (theta_+, theta_-) at -beta.  The grid and the stencil are mirrored
+    only up to rounding, so the two optima agree within both certificates
+    and a few roundings of values of size 1/(1-gamma), and their policies
+    are mirror images exactly."""
+
+    @pytest.mark.parametrize("n", [101, 801])
+    @pytest.mark.parametrize("gamma", [0.9, 0.99, 0.999])
+    @pytest.mark.parametrize("tm, tp", [(0.55, 0.7), (0.3, 0.9), (0.5, 0.7), (0.2, 0.45)])
+    def test_swapped_arms_give_the_mirrored_optimum(self, tm, tp, gamma, n):
+        grid = BeliefGrid(n)
+        solved = []
+        for spec in (BanditSpec(tm, tp), BanditSpec(tp, tm)):
+            prob = DiscountedProblem(spec, gamma)
+            v, pol, _ = policy_iteration(prob, grid)
+            solved.append((v.values, pol.q, certify_optimal(prob, v)))
+        (va, qa, cert_a), (vb, qb, cert_b) = solved
+        eps = np.finfo(float).eps
+        allowance = cert_a + cert_b + 8.0 * eps * np.max(np.abs(va)) / (1.0 - gamma)
+        assert np.max(np.abs(va - vb[::-1])) <= allowance
+        assert np.array_equal(qa, 1.0 - qb[::-1])
+
+
 POLICY_KINDS = {
     "all -1": lambda rng, n: np.zeros(n),
     "all +1": lambda rng, n: np.ones(n),
