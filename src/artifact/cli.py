@@ -204,7 +204,7 @@ def cmd_compare(args) -> int:
         )
         return 4
     out = _outdir(args)
-    v, policy, _, _ = _optimal_solve(prob, grid, tol)
+    v, policy, _, bound = _optimal_solve(prob, grid, tol)
 
     if symmetric:
         pts = reachable_beliefs(spec, 0.0, 6)
@@ -240,6 +240,8 @@ def cmd_compare(args) -> int:
         os.path.join(out, "compare_summary.json"),
         {
             **header,
+            "tolerance": tol,
+            "error_bound": bound,
             "subclass": "symmetric" if symmetric else "fair_coin",
             "max_abs_dev": float(np.max(abs_dev)),
             "max_rel_dev": float(np.max(rel_dev)),

@@ -86,12 +86,8 @@ _CHUNK_NODES = 6500
 
 
 def _number(key, x):
-    # float(True) is 1.0 and float("0.7") parses, so a numeric field
-    # takes only a JSON number
-    if isinstance(x, bool) or not isinstance(x, numbers.Real):
-        raise InvalidManifest(f"malformed manifest field {key}: {x!r} is not a number")
     try:
-        return float(x)
+        return float(_json_type(numbers.Real, "a number")(key, x))
     except OverflowError:
         # a JSON integer has no size limit
         raise InvalidManifest(
@@ -100,8 +96,8 @@ def _number(key, x):
 
 
 def _json_type(json_type, name):
-    # int() would truncate 801.9, bool("false") is True and str(None) is
-    # "None", so these fields take only their own JSON type
+    # int() would truncate 801.9, float(True) is 1.0, bool("false") is True
+    # and str(None) is "None", so these fields take only their own JSON type
     def read(key, x):
         if not isinstance(x, json_type) or isinstance(x, bool) and json_type is not bool:
             raise InvalidManifest(f"malformed manifest field {key}: {x!r} is not {name}")
@@ -130,8 +126,8 @@ class SweepManifest:
     `_KINDS` gives the lists each kind reads and how many values each
     takes; curves uses theta_plus as its theta axis together with the
     symmetric flag, and the heatmap crosses the two theta grids.  A field
-    missing from the JSON object takes its default here, and a missing
-    kind fails `validate`.
+    missing from the JSON object takes its default here.  Construction
+    runs `validate`, so a missing kind fails construction.
     """
 
     kind: str = ""
@@ -145,6 +141,9 @@ class SweepManifest:
     symmetric: bool = True
     out_dir: str = "."
 
+    def __post_init__(self):
+        self.validate()
+
     @classmethod
     def from_dict(cls, raw: dict) -> "SweepManifest":
         if not isinstance(raw, dict):
@@ -152,10 +151,8 @@ class SweepManifest:
         unknown = set(raw) - {f.name for f in fields(cls)}
         if unknown:
             raise InvalidManifest(f"unknown manifest fields: {sorted(unknown)}")
-        m = cls(**{f.name: _READERS[f.type](f.name, raw[f.name])
-                   for f in fields(cls) if f.name in raw})
-        m.validate()
-        return m
+        return cls(**{f.name: _READERS[f.type](f.name, raw[f.name])
+                      for f in fields(cls) if f.name in raw})
 
     @classmethod
     def from_json(cls, path) -> "SweepManifest":
@@ -387,9 +384,8 @@ def optimal_alpha_search(
 
 
 def run_manifest(manifest: SweepManifest, n_workers=None) -> dict:
-    """Dispatch a manifest, write its CSV and JSON artifacts, and return
-    {"csv": path, "json": path, "result": SweepResult}."""
-    manifest.validate()
+    """Dispatch a manifest, checked when it was built, write its CSV and
+    JSON artifacts and return {"csv": path, "json": path, "result": SweepResult}."""
     # an unusable out_dir fails here, before any row is computed
     os.makedirs(manifest.out_dir, exist_ok=True)
     workers = resolve_workers(n_workers)

@@ -619,18 +619,6 @@ def value_iteration(
     )
 
 
-def _resolve_costs(cost, grid):
-    if callable(cost):
-        c = np.asarray(cost(grid.nodes), dtype=float)
-    else:
-        c = np.asarray(cost, dtype=float)
-    if c.shape != (grid.n_points,):
-        raise ValueError("cost must provide one value per grid node")
-    if not np.all(np.isfinite(c)):
-        raise ValueError("cost must be finite")
-    return c
-
-
 def _check_certificate(cert, tol, subject, context="", iterations=None):
     """Raise IterationLimit when the certified error of `subject` exceeds tol."""
     if cert > tol:
@@ -711,14 +699,14 @@ def evaluate_cost(
 
     `cost` is either an array with one entry per node or a callable
     applied to the node vector; costs that depend on the policy should be
-    supplied already mixed.  The result is the fixed point of
-    C = cost + gamma * M_pi C and is linear in the cost argument.  It is
-    solved and certified against tol by the one direct solve of
-    policy_evaluation.
+    supplied already mixed.  The cost is checked as a ValueFunction's
+    values.  The result is the fixed point of C = cost + gamma * M_pi C
+    and is linear in the cost argument.  It is solved and certified
+    against tol by the one direct solve of policy_evaluation.
     """
-    st = _stencil(prob, policy.grid)
-    c = _resolve_costs(cost, policy.grid)
-    return _certified_solve((st, policy.q, c, None), tol, "cost evaluation")
+    grid = policy.grid
+    c = ValueFunction(grid, cost(grid.nodes) if callable(cost) else cost).values
+    return _certified_solve((_stencil(prob, grid), policy.q, c, None), tol, "cost evaluation")
 
 
 def policy_iteration(

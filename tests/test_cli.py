@@ -357,6 +357,8 @@ class TestCompare:
         assert summary["subclass"] == "symmetric"
         assert summary["passed"] is True
         assert summary["max_rel_dev"] <= 1e-3
+        # the optimal value's certificate, as solve's summary.json states it
+        assert summary["error_bound"] <= summary["tolerance"]
         assert (tmp_path / "compare.csv").exists()
 
     def test_fair_coin_passes(self, tmp_path, capsys):
@@ -372,6 +374,7 @@ class TestCompare:
         summary = json.loads((tmp_path / "compare_summary.json").read_text())
         assert summary["subclass"] == "fair_coin"
         assert summary["passed"] is True
+        assert summary["error_bound"] <= summary["tolerance"]
 
     def test_uncovered_pair_exits_4(self, tmp_path):
         proc = run_cli(

@@ -1,6 +1,7 @@
 """Tests for the sweep layer: manifests, the four sweep kinds, artifact
 files, determinism, and worker resolution."""
 
+import dataclasses
 import json
 from pathlib import Path
 
@@ -126,12 +127,21 @@ class TestManifestValidation:
                 make_manifest(grid=grid)
 
     def test_manifest_built_directly_meets_the_grid_rule(self):
-        # validate() runs BeliefGrid's own rule, so a non-integral grid
-        # that skips from_dict's JSON layer is refused as well
+        # construction runs validate(), and so BeliefGrid's own rule, so a
+        # non-integral grid that skips from_dict's JSON layer is refused as well
         for grid in (801.5, 801.0, float("nan")):
-            m = SweepManifest(kind="curves", theta_plus=(0.7,), gammas=(0.9,), grid=grid)
             with pytest.raises(InvalidManifest, match="manifest field grid"):
-                m.validate()
+                SweepManifest(kind="curves", theta_plus=(0.7,), gammas=(0.9,), grid=grid)
+
+    def test_manifest_without_a_kind_cannot_be_built(self):
+        with pytest.raises(InvalidManifest, match="kind must be one of"):
+            SweepManifest()
+
+    def test_replacing_a_field_checks_the_new_manifest(self):
+        # dataclasses.replace builds a new manifest, so it meets the same rules
+        m = make_manifest()
+        with pytest.raises(InvalidManifest, match="manifest field grid"):
+            dataclasses.replace(m, grid=800)
 
     def test_rejects_non_integral_grid(self):
         for grid in (801.9, 801.0, True):

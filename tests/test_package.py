@@ -43,14 +43,16 @@ def test_errors_lists_every_exception_class():
 
 
 def test_each_library_rule_is_stated_once():
-    # the belief, mixture-weight, alpha and theta rules and the certificate
-    # check each have one owner; a restatement would be free to drift
+    # the belief, mixture-weight, alpha and theta rules, the finiteness of
+    # node values and the certificate check each have one owner; a
+    # restatement would be free to drift
     source = "".join(p.read_text() for p in Path(artifact.__file__).parent.glob("*.py"))
     for text in (
         "beta must lie in [-1, 1]",
         "q must lie in [0, 1]",
         "alpha must lie in [0, 1]",
         "theta must lie strictly between 1/2 and 1",
+        "must be finite",
         "exceeds tol=",
     ):
         assert source.count(text) == 1, text

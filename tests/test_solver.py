@@ -376,11 +376,12 @@ class TestCostEvaluation:
     def test_callable_cost_and_validation(self):
         c = evaluate_cost(self.prob, self.pol, lambda nodes: np.ones_like(nodes))
         assert c(0.0) == pytest.approx(1.0 / (1.0 - self.prob.gamma))
-        with pytest.raises(ValueError):
+        # the cost is checked as a ValueFunction's values, by its rules
+        with pytest.raises(ValueError, match="values must have one entry per grid node"):
             evaluate_cost(self.prob, self.pol, np.ones(7))
         bad = np.ones(self.grid.n_points)
         bad[3] = np.inf
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="values must be finite"):
             evaluate_cost(self.prob, self.pol, bad)
 
 

@@ -29,8 +29,10 @@ ALPHAS = [0.0, 0.001, 0.01, 0.05, 0.075] + [round(0.1 + 0.05 * k, 2) for k in ra
 # so every row is a failure record; one sweep of every other kind and of
 # the fair-coin curves at 401 nodes, the scaling sweep again at a beta0
 # between nodes, a heatmap whose thetas reach 1/2, the heatmap again on a
-# pool of WORKERS, and two manifests that exit 2: one on its even grid,
-# one on a scaling sweep with two theta_plus values
+# pool of WORKERS, and four manifests that exit 2: one on its even grid,
+# one on a scaling sweep with two theta_plus values, and two whose number
+# fields break the JSON-number rule, a boolean gamma and a beta0 beyond
+# the float range
 ALPHA_SWEEP = {
     "kind": "alpha", "theta_minus": [0.55], "theta_plus": [0.7],
     "gammas": [0.99], "alphas": ALPHAS, "grid": 801, "out_dir": "out",
@@ -70,6 +72,8 @@ MANIFESTS = {
         "kind": "scaling", "theta_minus": [0.5], "theta_plus": [0.6, 0.7],
         "gammas": [0.9], "grid": 401, "out_dir": "out",
     },
+    "number-as-bool-sweep": {**SCALING_SWEEP, "gammas": [True]},
+    "number-beyond-float-sweep": {**SCALING_SWEEP, "beta0": 10**400},
 }
 # ARTIFACT_WORKERS of the runs that do not run serially: a pool of two
 # gives each worker process its own cached optimal solve
