@@ -113,8 +113,6 @@ def symmetric_value(theta: float, gamma: float, beta: float) -> float:
     sol = symmetric_solution(theta, gamma)
     u = abs(_check_beta(beta))
     main = (1.0 + u * (2.0 * theta - 1.0)) / (2.0 * (1.0 - gamma))
-    if u == 1.0:
-        return main
     corr = (sol.C / 2.0) * (1.0 - u) ** sol.zeta_minus * (1.0 + u) ** (1.0 - sol.zeta_minus)
     return main + corr
 

@@ -158,7 +158,7 @@ def posterior(spec: BanditSpec, beliefs, a: int, y: int):
     c, d = a * (2 * y - 1), spec.bias(a)
     p = (1.0 + c * b * d) / 2.0
     with np.errstate(divide="ignore", invalid="ignore"):
-        bp = np.where(p > 0.0, (b + c * d) / np.maximum(2.0 * p, 1e-300), b)
+        bp = np.where(p > 0.0, (b + c * d) / (2.0 * p), b)
     return p, np.clip(bp, -1.0, 1.0)
 
 

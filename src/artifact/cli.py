@@ -218,7 +218,7 @@ def cmd_compare(args) -> int:
         verdict_scope = "decision boundary against the closed-form approximation"
     num = v(pts)
     abs_dev = np.abs(num - ana)
-    rel_dev = abs_dev / np.maximum(np.abs(num), 1e-300)
+    rel_dev = abs_dev / np.abs(num)
     artio.write_rows_csv(
         os.path.join(out, "compare.csv"),
         ["beta", "numeric", "analytic", "abs_dev", "rel_dev"],

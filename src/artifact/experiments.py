@@ -247,8 +247,8 @@ def _failure(key, exc):
 
 
 def _run_chunk(chunk):
-    """The rows, in job order, of a chunk (row, n, tol, jobs) of (key,
-    prob, alpha, extra) jobs on n nodes, in three phases: each job's
+    """The rows, in job order, of a chunk (row, grid, tol, jobs) of (key,
+    prob, alpha, extra) jobs on one BeliefGrid, in three phases: each job's
     solver._optimal_solve value and, unless alpha is None, its IDS(alpha)
     policy; one lockstep evaluation of those policies
     (solver._certified_solves), warm-started from the optimal values; then
@@ -256,8 +256,7 @@ def _run_chunk(chunk):
     *extra) with an alpha, where each r is the regret_curve of a value.  A
     BanditError of the first phase, or the IterationLimit of a missed
     evaluation, becomes its row's failure record."""
-    row, n, tol, jobs = chunk
-    grid = BeliefGrid(n)
+    row, grid, tol, jobs = chunk
     solved, equations = [], []
     for key, prob, alpha, _ in jobs:
         try:
@@ -289,18 +288,20 @@ def _run_jobs(jobs, worker, n_workers):
         return list(pool.map(worker, jobs, chunksize=1))
 
 
-def _sweep(kind, row, jobs, n_workers, n, tol, **meta):
-    """Run the (key, prob, alpha, extra) jobs of one sweep kind on n
-    nodes, building each row with `row`, keep the rows sorted and the
-    failures in job order, and time them.  The jobs run in chunks
-    (_run_chunk: optimal solves, one lockstep IDS evaluation, then rows)
-    of as many rows as fit in _CHUNK_NODES stacked nodes, at least one
-    and at most a worker's share, so that every worker has a chunk."""
+def _sweep(kind, row, jobs, n_workers, grid, tol, **meta):
+    """Check grid by BeliefGrid and tol by a manifest's rule, then run one
+    kind's (key, prob, alpha, extra) jobs on that grid, building each row
+    with `row`, the rows sorted, the failures in job order, all timed.  The
+    jobs run in chunks (_run_chunk: optimal solves, one lockstep IDS
+    evaluation, then rows) of as many rows as fit in _CHUNK_NODES stacked
+    nodes, at least one and at most a worker's share, so that every worker has a chunk."""
+    grid = BeliefGrid(grid)
+    _resolve_tol(0.0, tol)
     result = SweepResult(kind, _KINDS[kind][0])
     t0 = time.perf_counter()
     workers = resolve_workers(n_workers)
-    size = max(1, min(_CHUNK_NODES // n, -(-len(jobs) // workers)))
-    chunks = [(row, n, tol, jobs[i:i + size]) for i in range(0, len(jobs), size)]
+    size = max(1, min(_CHUNK_NODES // grid.n_points, -(-len(jobs) // workers)))
+    chunks = [(row, grid, tol, jobs[i:i + size]) for i in range(0, len(jobs), size)]
     for rows in _run_jobs(chunks, _run_chunk, workers):
         for out in rows:
             (result.failures if isinstance(out, dict) else result.rows).append(out)
@@ -326,7 +327,7 @@ def max_regret_vs_theta(
         for th in map(float, theta_grid)
         for g in map(float, gammas)
     ]
-    return _sweep("curves", _curve_row, jobs, n_workers, int(grid), tol, symmetric=symmetric)
+    return _sweep("curves", _curve_row, jobs, n_workers, grid, tol, symmetric=symmetric)
 
 
 def regret_scaling_gamma(
@@ -337,7 +338,7 @@ def regret_scaling_gamma(
     least three distinct gammas."""
     beta0 = _check_beta(beta0)
     jobs = [((1.0 - g,), DiscountedProblem(spec, g), 0.0, (beta0,)) for g in map(float, gammas)]
-    result = _sweep("scaling", _scaling_row, jobs, n_workers, int(grid), tol)
+    result = _sweep("scaling", _scaling_row, jobs, n_workers, grid, tol)
     if len({row[0] for row in result.rows}) >= 3:
         for label, col in (("fit_opt", 1), ("fit_ids0", 2)):
             fit = analytic.fit_log_regret_expansion(
@@ -361,7 +362,7 @@ def delta_R_heatmap(
         for tm in map(float, theta_minus_grid)
         for tp in map(float, theta_plus_grid)
     ]
-    return _sweep("heatmap", _gap_row, jobs, n_workers, int(grid), tol, gamma=gamma, alpha=alpha)
+    return _sweep("heatmap", _gap_row, jobs, n_workers, grid, tol, gamma=gamma, alpha=alpha)
 
 
 def optimal_alpha_search(
@@ -376,7 +377,7 @@ def optimal_alpha_search(
     """
     prob = DiscountedProblem(BanditSpec(float(theta_minus), float(theta_plus)), float(gamma))
     jobs = [((a,), prob, _check_alpha(a), ()) for a in map(float, alpha_grid)]
-    result = _sweep("alpha", _gap_row, jobs, n_workers, int(grid), tol)
+    result = _sweep("alpha", _gap_row, jobs, n_workers, grid, tol)
     if result.rows:
         best = min(result.rows, key=lambda r: (r[1], r[0]))
         result.meta["alpha_star"] = best[0]
@@ -391,7 +392,8 @@ def run_manifest(manifest: SweepManifest, n_workers=None) -> dict:
     workers = resolve_workers(n_workers)
     settings = {"grid": manifest.grid, "tol": manifest.tol, "n_workers": workers}
     result = _KINDS[manifest.kind][2](manifest, **settings)
-    stem = f"{manifest.kind}_{manifest.digest()}"
+    digest = manifest.digest()
+    stem = f"{manifest.kind}_{digest}"
     csv_path = os.path.join(manifest.out_dir, stem + ".csv")
     json_path = os.path.join(manifest.out_dir, stem + ".json")
     artio.write_rows_csv(csv_path, result.columns, result.rows)
@@ -399,7 +401,7 @@ def run_manifest(manifest: SweepManifest, n_workers=None) -> dict:
         json_path,
         {
             "manifest": manifest.canonical(),
-            "digest": manifest.digest(),
+            "digest": digest,
             "columns": list(result.columns),
             "row_count": len(result.rows),
             "failures": result.failures,

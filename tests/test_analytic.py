@@ -100,6 +100,13 @@ class TestSymmetricValue:
             assert symmetric_value(theta, gamma, 1.0) == pytest.approx(want, abs=1e-10)
             assert symmetric_value(theta, gamma, -1.0) == pytest.approx(want, abs=1e-10)
 
+    def test_certainty_value_is_the_linear_term_bit_for_bit(self):
+        # zeta_minus > 1 and C > 0, so the correction is +0.0 at |beta| = 1
+        for theta, gamma in [(0.55, 0.9), (0.7, 0.99), (0.9, 0.5)]:
+            want = (1.0 + (2.0 * theta - 1.0)) / (2.0 * (1.0 - gamma))
+            assert symmetric_value(theta, gamma, 1.0) == want
+            assert symmetric_value(theta, gamma, -1.0) == want
+
     def test_even_in_beta(self):
         for beta in np.linspace(0.0, 1.0, 21):
             lhs = symmetric_value(0.7, 0.9, beta)

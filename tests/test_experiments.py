@@ -3,6 +3,8 @@ files, determinism, and worker resolution."""
 
 import dataclasses
 import json
+import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -469,9 +471,27 @@ class TestAlphaSearch:
         assert "alpha_star" not in r.meta
 
 
+# each public sweep function with arguments it accepts, by sweep kind
+SWEEP_CALLS = {
+    "curves": (max_regret_vs_theta, ([0.9], [0.7])),
+    "scaling": (regret_scaling_gamma, (BanditSpec(0.5, 0.55), [0.9, 0.95, 0.99])),
+    "heatmap": (delta_R_heatmap, ([0.6], [0.7], 0.9, 0.5)),
+    "alpha": (optimal_alpha_search, (0.55, 0.7, 0.9, [0.5])),
+}
+
+
 class TestValuesCheckedBeforeAnySolve:
-    """A bad alpha or beta0 is refused while the jobs are built, by the rule
-    that checks a manifest's value, before any optimal solve."""
+    """A bad alpha or beta0 is refused while the jobs are built, and a bad
+    grid or tol by _sweep, each by the rule that checks a manifest's value,
+    before any optimal solve."""
+
+    @pytest.fixture
+    def solves(self, monkeypatch):
+        calls = []
+        real = exp._optimal_solve
+        monkeypatch.setattr(exp, "_optimal_solve",
+                            lambda *a: calls.append(a) or real(*a))
+        return calls
 
     @pytest.mark.parametrize("sweep, args, kwargs, message", [
         (delta_R_heatmap, ([0.6], [0.7], 0.9, 1.5), {}, "alpha must lie in"),
@@ -479,14 +499,36 @@ class TestValuesCheckedBeforeAnySolve:
         (regret_scaling_gamma, (BanditSpec(0.5, 0.55), [0.9, 0.95, 0.99]), {"beta0": 1.5},
          "beta must lie in"),
     ])
-    def test_bad_value_raises_with_no_solve(self, monkeypatch, sweep, args, kwargs, message):
-        calls = []
-        real = exp._optimal_solve
-        monkeypatch.setattr(exp, "_optimal_solve",
-                            lambda *a: calls.append(a) or real(*a))
+    def test_bad_value_raises_with_no_solve(self, solves, sweep, args, kwargs, message):
         with pytest.raises(ValueError, match=message):
             sweep(*args, grid=101, **kwargs)
-        assert calls == []
+        assert solves == []
+
+    @pytest.mark.parametrize("grid", [101.9, "101", 100, True])
+    @pytest.mark.parametrize("kind", SWEEP_CALLS)
+    def test_bad_grid_raises_with_no_solve(self, solves, kind, grid):
+        sweep, args = SWEEP_CALLS[kind]
+        message = re.escape(f"n_points must be an odd integer >= 3, got {grid}")
+        with pytest.raises(ValueError, match=message):
+            sweep(*args, grid=grid)
+        assert solves == []
+
+    @pytest.mark.parametrize("tol", [0.0, -1e-9, math.nan, math.inf])
+    @pytest.mark.parametrize("kind", SWEEP_CALLS)
+    def test_bad_tol_raises_with_no_solve(self, solves, kind, tol):
+        sweep, args = SWEEP_CALLS[kind]
+        with pytest.raises(ValueError, match="tol must be positive and finite"):
+            sweep(*args, grid=101, tol=tol)
+        assert solves == []
+
+    def test_a_pooled_sweep_refuses_a_bad_grid_before_its_pool(self, solves, fake_pool):
+        with pytest.raises(ValueError, match="got 101.9"):
+            optimal_alpha_search(0.55, 0.7, 0.9, [0.0, 0.5], grid=101.9, n_workers=2)
+        assert fake_pool == [] and solves == []
+
+    def test_a_numpy_integer_grid_is_a_grid(self):
+        r = optimal_alpha_search(0.55, 0.7, 0.9, [0.5], grid=np.int64(101))
+        assert r.rows == optimal_alpha_search(0.55, 0.7, 0.9, [0.5], grid=101).rows
 
 
 class TestRunManifest:
